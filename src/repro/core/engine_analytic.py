@@ -209,13 +209,11 @@ class AnalyticalEngine(BaseEngine):
     def _prepare_batch(self) -> Optional[dict]:
         """Batch handler table when every gate passes, else None (scalar mode).
 
-        Gates: the machine opts in, the topology supports batched routing
-        (uniform link lengths -- ruche and 3D stacks stay scalar), and the
-        kernel provides a batch handler for every program task.
+        Gates: the machine opts in, remote access is off, and the kernel
+        provides a batch handler for every program task.  Every topology
+        routes batched.
         """
         if not getattr(self.machine, "batch_execution", True):
-            return None
-        if self.topology.uniform_link_length_tiles is None:
             return None
         if self.config.allow_remote_access:
             # Remote-access penalties are per-access scalar state the batch

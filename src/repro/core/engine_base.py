@@ -42,7 +42,6 @@ class BaseEngine:
         self.program = machine.program
         self.placement = machine.placement
         self.topology = machine.topology
-        self.tiles = machine.tiles
         self.state = machine.state
         self.kernel = machine.kernel
         self.counters = AggregateCounters()
@@ -190,8 +189,8 @@ class BaseEngine:
     # ----------------------------------------------------------------- result
     def build_result(self, cycles: float, epochs: int) -> SimulationResult:
         state = self.state
-        self.tracer.record_queue_stats(self.tiles, state=state)
-        self.tracer.verify(self.counters, self.tiles, state=state)
+        self.tracer.record_queue_stats(state)
+        self.tracer.verify(self.counters, state)
         per_tile_busy = np.array(state.pu_busy_cycles, dtype=np.float64)
         per_tile_instructions = np.array(state.pu_instructions)
         per_router_flits = self.link_model.router_traffic().astype(np.float64)

@@ -114,9 +114,8 @@ class CycleEngine(BaseEngine):
 
     # ----------------------------------------------------------------- events
     def _enqueue_record(self, tile_id: int, task_id: int, handle: int) -> None:
-        """Push a pooled record handle into the tile's task input queue,
-        bumping the messages_received counter ``Tile.enqueue_task``
-        historically maintained."""
+        """Push a pooled record handle into the tile's task input queue and
+        count the received message."""
         state = self.state
         state.push_invocation(tile_id, task_id, handle)
         state.messages_received[tile_id] += 1

@@ -152,6 +152,11 @@ class BlockPlacement(SpacePlacement):
         self._check_indices(indices)
         return np.minimum(indices // self.chunk_size, self.num_tiles - 1)
 
+    def per_tile_counts(self) -> np.ndarray:
+        begins = np.arange(self.num_tiles, dtype=np.int64) * self.chunk_size
+        ends = np.minimum(self.length, begins + self.chunk_size)
+        return np.maximum(0, ends - begins)
+
 
 class InterleavedPlacement(SpacePlacement):
     """Low-order-bit placement: element ``i`` lives on tile ``i % num_tiles``."""
@@ -176,6 +181,11 @@ class InterleavedPlacement(SpacePlacement):
         indices = np.asarray(indices, dtype=np.int64)
         self._check_indices(indices)
         return indices % self.num_tiles
+
+    def per_tile_counts(self) -> np.ndarray:
+        base = self.length // self.num_tiles
+        extra = np.arange(self.num_tiles, dtype=np.int64) < self.length % self.num_tiles
+        return base + extra.astype(np.int64)
 
 
 class OwnerMapPlacement(SpacePlacement):

@@ -28,8 +28,8 @@ real :meth:`AnalyticalEngine._execute_segment` over their sub-segments.
   identical to the serial engine's.
 
 Runs outside the shardable envelope (cycle engine, ``dram_cache`` memory,
-non-uniform-link topologies, kernels without complete batch handlers) fall
-back to plain serial execution, which is trivially byte-identical.
+``allow_remote_access``, kernels without complete batch handlers) fall back
+to plain serial execution, which is trivially byte-identical.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from repro.core.batch import Segment, segments_from_items, sequential_sum
 from repro.core.engine_analytic import AnalyticalEngine, _MemoryTables
 from repro.core.shard import ShardPlan, apply_link_state, export_link_state
 from repro.errors import SimulationError
-from repro.noc.analytical import LinkLoadModel
+from repro.noc.analytical import LinkLoadModel, millimeter_terms
 from repro.telemetry import get_telemetry
 
 #: Elements per chunk when scanning a space for shard-owned indices (bounds
@@ -67,8 +67,6 @@ def shard_fallback_reason(machine) -> Optional[str]:
         return "dram_cache folds fractional miss charges in global execution order"
     if not getattr(machine, "batch_execution", True):
         return "batch execution is disabled on this machine"
-    if machine.topology.uniform_link_length_tiles is None:
-        return f"topology {config.noc!r} has non-uniform link lengths"
     if config.allow_remote_access:
         return "allow_remote_access uses scalar-only per-access semantics"
     handlers = machine.kernel.batch_handlers(machine)
@@ -196,20 +194,10 @@ class ShardWorker:
         reply: Dict[str, Any] = {"counts": counts}
         if children:
             child = children[0]
-            sources = np.repeat(tiles, counts)
-            nl_src = sources[child.remote]
-            nl_dst = child.tiles[child.remote]
-            if len(nl_src):
-                nl_hops = self.topology.hop_distance_batch(nl_src, nl_dst).astype(
-                    np.int64
-                )
-            else:
-                nl_hops = np.empty(0, dtype=np.int64)
             reply["child_task"] = child.task.name
             reply["child_tiles"] = child.tiles
             reply["child_params"] = child.params
             reply["child_remote"] = child.remote
-            reply["nl_hops"] = nl_hops
         return reply
 
     def refill(self) -> List[Dict[str, Any]]:
@@ -570,9 +558,13 @@ class ShardCoordinator:
         child_remote = np.concatenate(
             [reply["child_remote"] for reply in with_children]
         )
-        nl_hops = np.concatenate([reply["nl_hops"] for reply in with_children])
+        child_sources = np.repeat(
+            np.concatenate([bundle[1] for bundle, _ in ordered]), counts
+        )
 
-        self._fold_millimeters(out_task, child_pos, child_remote, nl_hops)
+        self._fold_millimeters(
+            out_task, child_pos, child_remote, child_sources, child_tiles
+        )
 
         final = np.argsort(child_pos)
         return self._make_record(
@@ -588,25 +580,21 @@ class ShardCoordinator:
         out_task,
         child_pos: np.ndarray,
         child_remote: np.ndarray,
-        nl_hops: np.ndarray,
+        child_sources: np.ndarray,
+        child_tiles: np.ndarray,
     ) -> None:
         """Replay the serial per-segment flit-millimeter fold, bit-exactly."""
-        if not len(nl_hops):
-            return
-        flits = out_task.flits_per_invocation
-        pitch = self.machine.tile_pitch_mm
-        if self.engine.link_model.detailed:
-            # Uniform link length: the term is one constant, so only the link
-            # count matters (repeated addition of a constant).
-            term = flits * self.topology.uniform_link_length_tiles * pitch
-            total_links = int(nl_hops.sum())
-            self._epoch_mm = sequential_sum(
-                self._epoch_mm, np.full(total_links, term)
-            )
+        if not child_remote.any():
             return
         remote_order = np.argsort(child_pos[child_remote])
-        spans = nl_hops[remote_order] * self.topology.physical_length_factor
-        terms = (flits * spans) * pitch
+        terms = millimeter_terms(
+            self.topology,
+            child_sources[child_remote][remote_order],
+            child_tiles[child_remote][remote_order],
+            out_task.flits_per_invocation,
+            self.machine.tile_pitch_mm,
+            self.engine.link_model.detailed,
+        )
         self._epoch_mm = sequential_sum(self._epoch_mm, terms)
 
     # ---------------------------------------------------------------- refill

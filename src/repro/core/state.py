@@ -18,10 +18,9 @@ state with flat parallel arrays indexed by tile id (and, for queues, by
 
 Pending invocations are held in a :class:`RecordPool`: parallel arrays of
 (tile, task, params, remote) slots recycled through a free list, so steady
-state simulation allocates no per-event objects.  The public classes under
-:mod:`repro.tile` remain available as thin views over these arrays (see
-``tile/tile.py``), which keeps the energy accounting, the invariant tracer
-and the existing unit tests working unchanged.
+state simulation allocates no per-event objects.  Nothing wraps these
+columns in per-tile objects: the engines, the energy accounting and the
+invariant tracer all read them directly.
 
 Scheduling semantics are bit-compatible with
 :class:`repro.tile.tsu.TaskSchedulingUnit`; ``tests/core/test_state.py`` pins
@@ -98,8 +97,7 @@ class CoreState:
     Args:
         num_tiles: number of tiles (rows of every per-tile array).
         task_ids: the program's task ids.  Machine-built programs use dense
-            ids ``0..K-1``; the queue-column mapping also accepts sparse ids
-            for standalone :class:`~repro.tile.tile.Tile` views.
+            ids ``0..K-1``; the queue-column mapping also accepts sparse ids.
         iq_capacities: input-queue capacity per task id.
         scheduling_policy: ``"occupancy"`` or ``"round_robin"`` (the same
             semantics as :class:`~repro.tile.tsu.TaskSchedulingUnit`).
@@ -133,7 +131,7 @@ class CoreState:
 
         slots = num_tiles * self.num_tasks
         # Task input queues (entries are RecordPool handles on the engine hot
-        # path; standalone tile views may push arbitrary items).
+        # path; the queue logic itself accepts arbitrary items).
         self.queues: List[deque] = [deque() for _ in range(slots)]
         self.queue_pushed = [0] * slots
         self.queue_popped = [0] * slots
@@ -191,9 +189,6 @@ class CoreState:
             return tile * self.num_tasks + task_id
         return tile * self.num_tasks + self.task_column[task_id]
 
-    def capacity_of(self, task_id: int) -> int:
-        return self.queue_capacity[self.task_column[task_id]]
-
     def push_invocation(self, tile: int, task_id: int, item) -> None:
         """Push one pending invocation; mirrors ``CircularQueue.push`` with
         ``allow_overflow=True`` (overflow counted, never rejected).
@@ -232,8 +227,8 @@ class CoreState:
         return True
 
     def queue_statistics(self, tile: int) -> Dict[int, dict]:
-        """Per-task queue statistics of one tile (same shape as the old
-        ``Tile.queue_statistics``)."""
+        """Per-task queue statistics of one tile: capacity, occupancy peak,
+        pushes and overflow events per task id."""
         stats = {}
         for col, task_id in enumerate(self.task_ids):
             qi = tile * self.num_tasks + col

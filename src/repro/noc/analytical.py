@@ -18,6 +18,28 @@ from repro.noc.topology import Topology
 Link = Tuple[int, int]
 
 
+def millimeter_terms(
+    topology: Topology,
+    srcs: np.ndarray,
+    dsts: np.ndarray,
+    flits: int,
+    tile_pitch_mm: float,
+    detailed: bool,
+) -> np.ndarray:
+    """Flit-millimeter terms of non-local messages, in scalar fold order.
+
+    :meth:`LinkLoadModel.record_message` adds ``flits * length * pitch`` once
+    per link, route by route, in detailed mode and ``flits * span * pitch``
+    once per message in aggregate mode.  Folding the returned terms with
+    ``sequential_sum`` reproduces that ``+=`` loop bit-exactly.
+    """
+    if detailed:
+        lengths = topology.route_link_lengths_batch(srcs, dsts)
+    else:
+        lengths = topology.route_span_batch(srcs, dsts)
+    return (flits * lengths) * tile_pitch_mm
+
+
 class LinkLoadModel:
     """Accumulates flit traffic per directed link, per router, and per endpoint.
 
@@ -90,11 +112,9 @@ class LinkLoadModel:
 
         Bit-equal to calling :meth:`record_message` once per ``(src, dst)``
         pair in order: the integer tallies are order-free scatters, and the
-        only float accumulator (``total_flit_millimeters``) grows by the same
-        constant per-link term on uniform-link topologies -- repeated addition
-        of a constant depends only on the count, so the in-order
-        ``np.add.accumulate`` fold reproduces the scalar sum exactly.  Only
-        valid on topologies advertising ``uniform_link_length_tiles``.
+        only float accumulator (``total_flit_millimeters``) folds
+        :func:`millimeter_terms` in emission order with ``sequential_sum``,
+        which reproduces the scalar ``+=`` loop for any link lengths.
         """
         topology = self.topology
         num = len(srcs)
@@ -115,16 +135,17 @@ class LinkLoadModel:
             return hops
         nl_src = srcs[nonlocal_mask]
         nl_dst = dsts[nonlocal_mask]
-        nl_hops = topology.hop_distance_batch(nl_src, nl_dst).astype(np.int64)
+        nl_hops = topology.hop_distance_batch(nl_src, nl_dst)
         hops[nonlocal_mask] = nl_hops
         self.total_flit_hops += int(flits * nl_hops.sum())
+        self.total_flit_millimeters = _sequential_sum(
+            self.total_flit_millimeters,
+            millimeter_terms(
+                topology, nl_src, nl_dst, flits, tile_pitch_mm, self.detailed
+            ),
+        )
 
         if not self.detailed:
-            spans = nl_hops * topology.physical_length_factor
-            terms = (flits * spans) * tile_pitch_mm
-            self.total_flit_millimeters = _sequential_sum(
-                self.total_flit_millimeters, terms
-            )
             middle = topology.width // 2
             crossing = ((nl_src % topology.width) < middle) != (
                 (nl_dst % topology.width) < middle
@@ -160,12 +181,6 @@ class LinkLoadModel:
         ).astype(np.int64)
         router_flits += flits * np.bincount(nl_dst, minlength=num_tiles)
         self.router_flits = router_flits.tolist()
-        length = topology.uniform_link_length_tiles
-        term = flits * length * tile_pitch_mm
-        total_links = int(nl_hops.sum())
-        self.total_flit_millimeters = _sequential_sum(
-            self.total_flit_millimeters, np.full(total_links, term)
-        )
         return hops
 
     # ------------------------------------------------------------------ bounds

@@ -22,13 +22,19 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 Link = Tuple[int, int]
+
+
+def _ring_distance(delta: np.ndarray, size: int) -> np.ndarray:
+    """Shortest-direction distance around a ring of ``size`` routers."""
+    forward = delta % size
+    return np.minimum(forward, size - forward)
 
 
 class Topology(ABC):
@@ -161,19 +167,71 @@ class Topology(ABC):
     #: Physical wire length per tile of logical displacement (folded torus = 2).
     physical_length_factor = 1.0
 
-    #: Set (per concrete class) when every link has the same physical length in
-    #: tile pitches AND :meth:`hop_distance_batch` is implemented.  ``None``
-    #: means the topology does not support batched message accounting and the
-    #: engines must stay on the per-message path.  Deliberately *not*
-    #: inherited as a capability: subclasses with irregular links (ruche) opt
-    #: back out explicitly.
-    uniform_link_length_tiles: Optional[float] = None
+    # ------------------------------------------------------- batched routing
+    # Vectorized twins of hop_distance / route_span_tiles / the per-link
+    # lengths of route_profile, over arrays of (src, dst) pairs.  They use
+    # the same integer arithmetic and the same float operations in the same
+    # order as the scalar methods, so every element is bit-equal to them.
+    def _coords_batch(self, tiles: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Per-dimension coordinate arrays of ``tiles`` (routing order)."""
+        return tiles % self.width, tiles // self.width
 
-    def hop_distance_batch(self, srcs, dsts):
-        """Vectorized :meth:`hop_distance`; only uniform-link topologies provide it."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support batched routing"
+    def _dimension_hops_batch(self, delta: np.ndarray, size: int) -> np.ndarray:
+        return np.abs(delta)
+
+    def _dimension_span_batch(self, delta: np.ndarray, size: int) -> np.ndarray:
+        return np.abs(delta)
+
+    def _dimension_runs_batch(
+        self, delta: np.ndarray, size: int, length: float
+    ) -> List[Tuple[np.ndarray, float]]:
+        """Links along one dimension, in route order, as ``(count, length)``
+        runs of equal-length links."""
+        return [(self._dimension_hops_batch(delta, size), length)]
+
+    def _dimension_link_lengths(self) -> Tuple[float, ...]:
+        """Length of a unit hop along each dimension, in tile pitches."""
+        return (self.physical_length_factor,) * len(self.dimension_sizes())
+
+    def _deltas_batch(self, srcs, dsts) -> List[Tuple[np.ndarray, int]]:
+        src_c = self._coords_batch(np.asarray(srcs, dtype=np.int64))
+        dst_c = self._coords_batch(np.asarray(dsts, dtype=np.int64))
+        return [
+            (d - s, size) for s, d, size in zip(src_c, dst_c, self.dimension_sizes())
+        ]
+
+    def hop_distance_batch(self, srcs, dsts) -> np.ndarray:
+        """Vectorized :meth:`hop_distance`."""
+        hops = [
+            self._dimension_hops_batch(delta, size)
+            for delta, size in self._deltas_batch(srcs, dsts)
+        ]
+        return np.sum(hops, axis=0, dtype=np.int64)
+
+    def route_span_batch(self, srcs, dsts) -> np.ndarray:
+        """Vectorized :meth:`route_span_tiles`."""
+        (dx, width), (dy, height) = self._deltas_batch(srcs, dsts)
+        span = self._dimension_span_batch(dx, width) + self._dimension_span_batch(
+            dy, height
         )
+        return span * self.physical_length_factor
+
+    def route_link_lengths_batch(self, srcs, dsts) -> np.ndarray:
+        """Per-link physical lengths of every route, concatenated in order.
+
+        Message ``i``'s links come before message ``i + 1``'s, and within a
+        message they follow the dimension-ordered route -- the order in
+        which :meth:`route_profile` lists its lengths, so the result equals
+        concatenating ``route_profile(s, d)[1]`` over the pairs.
+        """
+        runs: List[Tuple[np.ndarray, float]] = []
+        for (delta, size), length in zip(
+            self._deltas_batch(srcs, dsts), self._dimension_link_lengths()
+        ):
+            runs.extend(self._dimension_runs_batch(delta, size, length))
+        counts = np.stack([count for count, _ in runs], axis=1)
+        lengths = np.array([length for _, length in runs], dtype=np.float64)
+        return np.repeat(np.broadcast_to(lengths, counts.shape).ravel(), counts.ravel())
 
     #: Ratio of the hottest link load to the average link load under uniform
     #: random traffic with dimension-ordered routing; used by the sparse
@@ -181,12 +239,20 @@ class Topology(ABC):
     congestion_factor = 1.0
 
     def num_directed_links(self) -> int:
-        """Total number of directed router-to-router links (cached enumeration)."""
-        cached = getattr(self, "_num_directed_links", None)
-        if cached is None:
-            cached = sum(1 for _ in self.links())
-            self._num_directed_links = cached
-        return cached
+        """Total number of directed router-to-router links (closed form).
+
+        Links run along one dimension at a time, and every line of routers
+        along a dimension carries the same number of them.
+        """
+        num_tiles = self.num_tiles
+        return sum(
+            num_tiles // size * self._line_links(size)
+            for size in self.dimension_sizes()
+        )
+
+    def _line_links(self, size: int) -> int:
+        """Directed links along one wrapped line of ``size`` routers."""
+        return size * len({step % size for step in self._unit_steps(size)} - {0})
 
     def links_on_route(self, src: int, dst: int) -> List[Link]:
         """Directed links traversed by a message from ``src`` to ``dst``."""
@@ -369,14 +435,8 @@ class Mesh2D(Topology):
     def link_length_tiles(self, src: int, dst: int) -> float:
         return 1.0
 
-    uniform_link_length_tiles = 1.0
-
-    def hop_distance_batch(self, srcs, dsts):
-        sx = srcs % self.width
-        sy = srcs // self.width
-        dx = dsts % self.width
-        dy = dsts // self.width
-        return np.abs(dx - sx) + np.abs(dy - sy)
+    def _line_links(self, size: int) -> int:
+        return 2 * (size - 1)
 
 
 class Torus2D(Topology):
@@ -410,6 +470,11 @@ class Torus2D(Topology):
     def _dimension_span(self, delta: int, size: int) -> int:
         return self._dimension_hops(delta, size)
 
+    def _dimension_hops_batch(self, delta: np.ndarray, size: int) -> np.ndarray:
+        return _ring_distance(delta, size)
+
+    _dimension_span_batch = _dimension_hops_batch
+
     def _unit_steps(self, size: int) -> List[int]:
         return [-1, 1] if size > 1 else []
 
@@ -420,13 +485,6 @@ class Torus2D(Topology):
     def link_length_tiles(self, src: int, dst: int) -> float:
         # Folded torus layout: every link spans two tile pitches.
         return 2.0
-
-    uniform_link_length_tiles = 2.0
-
-    def hop_distance_batch(self, srcs, dsts):
-        fx = (dsts % self.width - srcs % self.width) % self.width
-        fy = (dsts // self.width - srcs // self.width) % self.height
-        return np.minimum(fx, self.width - fx) + np.minimum(fy, self.height - fy)
 
 
 class RucheTorus2D(Torus2D):
@@ -439,14 +497,6 @@ class RucheTorus2D(Torus2D):
     kind = "torus_ruche"
 
     congestion_factor = 1.1
-
-    # Express channels give per-link lengths of 2*span tiles -- not uniform --
-    # and hop counts that mix express and unit hops, so the batched routing
-    # inherited from Torus2D would be wrong here.  Opt out explicitly.
-    uniform_link_length_tiles = None
-
-    def hop_distance_batch(self, srcs, dsts):
-        raise NotImplementedError("ruche channels need per-message routing")
 
     def __init__(self, width: int, height: int, ruche_factor: int = 2) -> None:
         super().__init__(width, height)
@@ -466,6 +516,22 @@ class RucheTorus2D(Torus2D):
             return 0
         forward = delta % size
         return min(forward, size - forward)
+
+    def _dimension_hops_batch(self, delta: np.ndarray, size: int) -> np.ndarray:
+        distance = _ring_distance(delta, size)
+        return distance // self.ruche_factor + distance % self.ruche_factor
+
+    def _dimension_span_batch(self, delta: np.ndarray, size: int) -> np.ndarray:
+        return _ring_distance(delta, size)
+
+    def _dimension_runs_batch(
+        self, delta: np.ndarray, size: int, length: float
+    ) -> List[Tuple[np.ndarray, float]]:
+        # Express hops first, then unit hops (next_hop_offsets order).  An
+        # express link spans ruche_factor unit links (link_length_tiles).
+        distance = _ring_distance(delta, size)
+        factor = self.ruche_factor
+        return [(distance // factor, length * factor), (distance % factor, length)]
 
     @property
     def area_factor(self) -> float:
@@ -571,6 +637,23 @@ class Topology3D(Topology):
         vertical = self._dimension_span(dst_c[2] - src_c[2], self.depth)
         return horizontal * self.physical_length_factor + vertical * self.via_length_tiles
 
+    def _coords_batch(self, tiles: np.ndarray) -> Tuple[np.ndarray, ...]:
+        layer = self.width * self.height
+        rest = tiles % layer
+        return rest % self.width, rest // self.width, tiles // layer
+
+    def _dimension_link_lengths(self) -> Tuple[float, ...]:
+        plane = self.physical_length_factor
+        return (plane, plane, self.via_length_tiles)
+
+    def route_span_batch(self, srcs, dsts) -> np.ndarray:
+        (dx, width), (dy, height), (dz, depth) = self._deltas_batch(srcs, dsts)
+        horizontal = self._dimension_span_batch(dx, width) + self._dimension_span_batch(
+            dy, height
+        )
+        vertical = self._dimension_span_batch(dz, depth)
+        return horizontal * self.physical_length_factor + vertical * self.via_length_tiles
+
     def neighbors(self, tile: int) -> List[int]:
         x, y, z = self.coords(tile)
         result = set()
@@ -634,6 +717,9 @@ class Mesh3D(Topology3D):
     def _unit_steps(self, size: int) -> List[int]:
         return [-1, 1] if size > 1 else []
 
+    def _line_links(self, size: int) -> int:
+        return 2 * (size - 1)
+
     def neighbors(self, tile: int) -> List[int]:
         x, y, z = self.coords(tile)
         result = []
@@ -683,6 +769,11 @@ class Torus3D(Topology3D):
 
     def _dimension_span(self, delta: int, size: int) -> int:
         return self._dimension_hops(delta, size)
+
+    def _dimension_hops_batch(self, delta: np.ndarray, size: int) -> np.ndarray:
+        return _ring_distance(delta, size)
+
+    _dimension_span_batch = _dimension_hops_batch
 
     def _unit_steps(self, size: int) -> List[int]:
         return [-1, 1] if size > 1 else []

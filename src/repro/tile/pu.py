@@ -56,53 +56,3 @@ class ProcessingUnit:
             f"ProcessingUnit(tile={self.tile_id}, busy={self.busy_cycles:.0f}cyc, "
             f"instr={self.instructions})"
         )
-
-
-class PUView(ProcessingUnit):
-    """``ProcessingUnit`` API over one tile's row of the columnar
-    :class:`~repro.core.state.CoreState` arrays."""
-
-    def __init__(self, state, slot: int, tile_id: int) -> None:
-        self._state = state
-        self._slot = slot
-        super().__init__(tile_id)
-
-    @property
-    def busy_until(self) -> float:
-        return self._state.pu_busy_until[self._slot]
-
-    @busy_until.setter
-    def busy_until(self, value: float) -> None:
-        self._state.pu_busy_until[self._slot] = value
-
-    @property
-    def busy_cycles(self) -> float:
-        return self._state.pu_busy_cycles[self._slot]
-
-    @busy_cycles.setter
-    def busy_cycles(self, value: float) -> None:
-        self._state.pu_busy_cycles[self._slot] = value
-
-    @property
-    def instructions(self) -> int:
-        return self._state.pu_instructions[self._slot]
-
-    @instructions.setter
-    def instructions(self, value: int) -> None:
-        self._state.pu_instructions[self._slot] = value
-
-    @property
-    def tasks_executed(self) -> int:
-        return self._state.pu_tasks_executed[self._slot]
-
-    @tasks_executed.setter
-    def tasks_executed(self, value: int) -> None:
-        self._state.pu_tasks_executed[self._slot] = value
-
-    @property
-    def stall_cycles(self) -> float:
-        return self._state.pu_stall_cycles[self._slot]
-
-    @stall_cycles.setter
-    def stall_cycles(self, value: float) -> None:
-        self._state.pu_stall_cycles[self._slot] = value

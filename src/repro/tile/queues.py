@@ -107,55 +107,3 @@ class CircularQueue:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"CircularQueue({self.name!r}, {len(self)}/{self.capacity})"
-
-
-class QueueView(CircularQueue):
-    """``CircularQueue`` API over one :class:`~repro.core.state.CoreState`
-    queue column.
-
-    The entries deque and every statistic live in the state's flat arrays;
-    the view only holds the column index.  Pushing/popping through the view
-    and through the engine's columnar fast path are therefore
-    indistinguishable.
-    """
-
-    def __init__(self, state, tile: int, task_id: int, name: str = "queue") -> None:
-        # Bind the backing column before super().__init__, whose counter
-        # initialization runs through the property setters below.
-        self._state = state
-        self._qi = state.queue_index(tile, task_id)
-        super().__init__(state.capacity_of(task_id), name=name, allow_overflow=True)
-        # Share the state's deque instead of the fresh one the base made.
-        self._entries = state.queues[self._qi]
-
-    @property
-    def total_pushed(self) -> int:
-        return self._state.queue_pushed[self._qi]
-
-    @total_pushed.setter
-    def total_pushed(self, value: int) -> None:
-        self._state.queue_pushed[self._qi] = value
-
-    @property
-    def total_popped(self) -> int:
-        return self._state.queue_popped[self._qi]
-
-    @total_popped.setter
-    def total_popped(self, value: int) -> None:
-        self._state.queue_popped[self._qi] = value
-
-    @property
-    def max_occupancy(self) -> int:
-        return self._state.queue_max_occupancy[self._qi]
-
-    @max_occupancy.setter
-    def max_occupancy(self, value: int) -> None:
-        self._state.queue_max_occupancy[self._qi] = value
-
-    @property
-    def overflow_events(self) -> int:
-        return self._state.queue_overflows[self._qi]
-
-    @overflow_events.setter
-    def overflow_events(self, value: int) -> None:
-        self._state.queue_overflows[self._qi] = value

@@ -97,51 +97,3 @@ class Scratchpad:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         cap = self.capacity_bytes if self.capacity_bytes is not None else "auto"
         return f"Scratchpad(used={self.used_bytes}B, capacity={cap})"
-
-
-class ScratchpadView(Scratchpad):
-    """``Scratchpad`` whose access counters live in the columnar
-    :class:`~repro.core.state.CoreState` arrays.
-
-    Region/capacity bookkeeping stays per-instance (each tile's data chunk
-    differs); only the hot read/write counters are columnar, so the engines
-    can account them with flat array increments.
-    """
-
-    def __init__(self, state, slot: int, capacity_bytes: int | None = None,
-                 strict: bool = True) -> None:
-        self._state = state
-        self._slot = slot
-        super().__init__(capacity_bytes, strict=strict)
-
-    @property
-    def reads(self) -> int:
-        return self._state.sram_reads[self._slot]
-
-    @reads.setter
-    def reads(self, value: int) -> None:
-        self._state.sram_reads[self._slot] = value
-
-    @property
-    def writes(self) -> int:
-        return self._state.sram_writes[self._slot]
-
-    @writes.setter
-    def writes(self, value: int) -> None:
-        self._state.sram_writes[self._slot] = value
-
-    @property
-    def bytes_read(self) -> int:
-        return self._state.sram_bytes_read[self._slot]
-
-    @bytes_read.setter
-    def bytes_read(self, value: int) -> None:
-        self._state.sram_bytes_read[self._slot] = value
-
-    @property
-    def bytes_written(self) -> int:
-        return self._state.sram_bytes_written[self._slot]
-
-    @bytes_written.setter
-    def bytes_written(self, value: int) -> None:
-        self._state.sram_bytes_written[self._slot] = value

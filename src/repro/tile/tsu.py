@@ -100,49 +100,3 @@ class TaskSchedulingUnit:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"TaskSchedulingUnit(policy={self.policy!r}, tasks={self.task_ids})"
-
-
-class TSUView(TaskSchedulingUnit):
-    """``TaskSchedulingUnit`` API whose mutable scheduling state (cursor,
-    decision count, clock gating) lives in the columnar
-    :class:`~repro.core.state.CoreState` arrays.
-
-    The engines select tasks through ``CoreState.select_task`` directly (the
-    columnar twin of :meth:`TaskSchedulingUnit.select_task`); this view keeps
-    the object API working for inspection and standalone tiles, over the same
-    backing state.
-    """
-
-    def __init__(self, state, slot: int, task_ids: Sequence[int], policy: str) -> None:
-        self._state = state
-        self._slot = slot
-        super().__init__(
-            task_ids,
-            policy=policy,
-            high_threshold=state.high_threshold,
-            low_threshold=state.low_threshold,
-        )
-
-    @property
-    def _round_robin_cursor(self) -> int:
-        return self._state.tsu_cursor[self._slot]
-
-    @_round_robin_cursor.setter
-    def _round_robin_cursor(self, value: int) -> None:
-        self._state.tsu_cursor[self._slot] = value
-
-    @property
-    def scheduling_decisions(self) -> int:
-        return self._state.tsu_decisions[self._slot]
-
-    @scheduling_decisions.setter
-    def scheduling_decisions(self, value: int) -> None:
-        self._state.tsu_decisions[self._slot] = value
-
-    @property
-    def clock_gated(self) -> bool:
-        return self._state.tsu_gated[self._slot]
-
-    @clock_gated.setter
-    def clock_gated(self, value: bool) -> None:
-        self._state.tsu_gated[self._slot] = value

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import InvariantViolation
 
 #: Counter fields whose per-epoch deltas must never be negative.
@@ -134,34 +136,20 @@ class InvariantTracer:
         self.epochs_traced = epoch_index + 1
 
     # ----------------------------------------------------------------- verify
-    def record_queue_stats(self, tiles: Sequence, state=None) -> None:
-        """Per-tile input-queue occupancy high-water marks (max over tasks).
+    def record_queue_stats(self, state) -> None:
+        """Per-tile input-queue occupancy high-water marks (max over tasks),
+        read from the columnar :class:`~repro.core.state.CoreState`."""
+        marks = np.reshape(
+            np.asarray(state.queue_max_occupancy, dtype=np.int64),
+            (state.num_tiles, state.num_tasks),
+        )
+        self.queue_high_water = dict(enumerate(marks.max(axis=1, initial=0).tolist()))
 
-        With a columnar :class:`~repro.core.state.CoreState` the marks are
-        read straight from the flat queue arrays; the per-tile-object path
-        remains for standalone tiles and tests.
-        """
-        if state is not None:
-            num_tasks = state.num_tasks
-            marks = state.queue_max_occupancy
-            self.queue_high_water = {
-                tile: max(marks[tile * num_tasks : (tile + 1) * num_tasks], default=0)
-                for tile in range(state.num_tiles)
-            }
-            return
-        self.queue_high_water = {
-            tile.tile_id: max(
-                (queue.max_occupancy for queue in tile.input_queues.values()), default=0
-            )
-            for tile in tiles
-        }
-
-    def verify(self, counters, tiles: Sequence, state=None) -> None:
+    def verify(self, counters, state) -> None:
         """Run the always-on conservation checks; raises :class:`InvariantViolation`.
 
-        Idempotent per run: engines call this once from ``build_result`` and
-        pass the columnar state so the queue-balance checks are flat array
-        sums instead of per-object walks.
+        Idempotent per run: engines call this once from ``build_result``;
+        the queue-balance checks are flat sums over the state's columns.
         """
         total = self.total_spawned
         if self.consumed != total:
@@ -184,17 +172,9 @@ class InvariantTracer:
                 f"local_messages={counters.local_messages} exceeds "
                 f"messages={counters.messages}"
             )
-        if state is not None:
-            pending = sum(len(queue) for queue in state.queues)
-            pushed = sum(state.queue_pushed)
-            popped = sum(state.queue_popped)
-        else:
-            pending = sum(tile.pending_invocations() for tile in tiles)
-            pushed = popped = 0
-            for tile in tiles:
-                for queue in tile.input_queues.values():
-                    pushed += queue.total_pushed
-                    popped += queue.total_popped
+        pending = sum(map(len, state.queues))
+        pushed = sum(state.queue_pushed)
+        popped = sum(state.queue_popped)
         if pending:
             raise InvariantViolation(
                 f"{pending} invocations still parked in tile queues at run end"

@@ -207,20 +207,46 @@ class TestOwnersOf:
             placement.owners_of(np.array([-1]))
 
 
-class TestHopDistanceBatch:
-    @pytest.mark.parametrize("noc", ["mesh", "torus"])
-    def test_matches_scalar_hop_distance(self, noc):
-        topology = make_topology(noc, 5, 4)
-        rng = np.random.default_rng(11)
-        srcs = rng.integers(0, topology.num_tiles, size=200)
-        dsts = rng.integers(0, topology.num_tiles, size=200)
-        batch = topology.hop_distance_batch(srcs, dsts)
-        scalar = [topology.hop_distance(int(s), int(d)) for s, d in zip(srcs, dsts)]
-        assert batch.tolist() == scalar
-        assert topology.uniform_link_length_tiles is not None
+# Every NoC kind, including grids no wider than the ruche factor (express
+# channels unused) and degenerate one-router dimensions.
+BATCH_TOPOLOGIES = [
+    ("mesh", 5, 4, {}),
+    ("mesh", 1, 6, {}),
+    ("torus", 5, 4, {}),
+    ("torus", 2, 1, {}),
+    ("torus_ruche", 8, 8, {"ruche_factor": 2}),
+    ("torus_ruche", 9, 5, {"ruche_factor": 3}),
+    ("torus_ruche", 3, 2, {"ruche_factor": 4}),
+    ("mesh3d", 3, 4, {"depth": 2}),
+    ("torus3d", 4, 3, {"depth": 3}),
+]
 
-    def test_ruche_opts_out_of_batched_routing(self):
-        topology = make_topology("torus_ruche", 8, 8, ruche_factor=2)
-        assert topology.uniform_link_length_tiles is None
-        with pytest.raises(NotImplementedError):
-            topology.hop_distance_batch(np.array([0]), np.array([5]))
+
+class TestBatchedRouting:
+    @pytest.mark.parametrize(
+        "noc,width,height,extra",
+        BATCH_TOPOLOGIES,
+        ids=[f"{noc}-{w}x{h}" for noc, w, h, _ in BATCH_TOPOLOGIES],
+    )
+    def test_matches_scalar_routing(self, noc, width, height, extra):
+        topology = make_topology(noc, width, height, **extra)
+        rng = np.random.default_rng(11)
+        srcs = rng.integers(0, topology.num_tiles, size=300)
+        dsts = rng.integers(0, topology.num_tiles, size=300)
+        pairs = list(zip(srcs.tolist(), dsts.tolist()))
+        assert topology.hop_distance_batch(srcs, dsts).tolist() == [
+            topology.hop_distance(s, d) for s, d in pairs
+        ]
+        assert topology.route_span_batch(srcs, dsts).tolist() == [
+            topology.route_span_tiles(s, d) for s, d in pairs
+        ]
+        assert topology.route_link_lengths_batch(srcs, dsts).tolist() == [
+            length for s, d in pairs for length in topology.route_profile(s, d)[1]
+        ]
+
+    def test_empty_batch(self):
+        topology = make_topology("torus_ruche", 8, 8)
+        empty = np.empty(0, dtype=np.int64)
+        assert topology.hop_distance_batch(empty, empty).tolist() == []
+        assert topology.route_span_batch(empty, empty).tolist() == []
+        assert topology.route_link_lengths_batch(empty, empty).tolist() == []

@@ -34,11 +34,26 @@ class TestConstruction:
             vertex_owner = machine.placement.owner("vertex", int(sources[edge]))
             assert machine.placement.owner("edge", edge) == vertex_owner
 
-    def test_scratchpad_regions_registered(self):
+    def test_scratchpad_bytes_column(self):
         machine = make_machine()
-        for tile in machine.tiles:
-            assert tile.scratchpad.regions["data_arrays"] >= 0
-            assert tile.scratchpad.regions["task_code"] > 0
+        config = machine.config
+        expected = np.full(
+            config.num_tiles, config.code_region_bytes + config.queue_region_bytes
+        )
+        for spec in machine.program.arrays.values():
+            space = machine.placement.space(spec.space)
+            expected += spec.entry_bytes * np.array(
+                [space.chunk_length(tile) for tile in range(config.num_tiles)]
+            )
+        assert machine.scratchpad_bytes.dtype == np.int64
+        assert machine.scratchpad_bytes.tolist() == expected.tolist()
+        assert (machine.scratchpad_bytes > config.code_region_bytes).all()
+        assert machine.sram_bytes_per_tile() == int(expected.max())
+
+    def test_dataset_fits_reads_the_column(self):
+        needed = int(make_machine().scratchpad_bytes.max())
+        assert make_machine(scratchpad_bytes_per_tile=needed).dataset_fits()
+        assert not make_machine(scratchpad_bytes_per_tile=needed - 1).dataset_fits()
 
     def test_sram_bytes_per_tile_auto_sized(self):
         machine = make_machine()

@@ -135,3 +135,19 @@ class TestFactoryAndDataPlacement:
         inter_owners = {inter.owner(int(i)) for i in hot}
         assert block_owners == {0}
         assert len(inter_owners) == 8
+
+
+class TestPerTileCountsClosedForm:
+    """The vectorized per_tile_counts equal the per-tile chunk_length walk."""
+
+    @pytest.mark.parametrize("cls", [BlockPlacement, InterleavedPlacement])
+    @pytest.mark.parametrize(
+        "length,num_tiles",
+        [(0, 1), (0, 5), (1, 7), (5, 8), (7, 7), (103, 4), (1000, 64), (16385, 16384)],
+    )
+    def test_matches_chunk_length(self, cls, length, num_tiles):
+        placement = cls(length, num_tiles)
+        counts = placement.per_tile_counts()
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [placement.chunk_length(t) for t in range(num_tiles)]
+        assert int(counts.sum()) == length

@@ -92,8 +92,6 @@ class TestFallbackEnvelope:
         [
             (dict(engine="cycle"), "engine"),
             (dict(memory="dram_cache"), "dram_cache"),
-            (dict(noc="torus_ruche"), "link length"),
-            (dict(noc="mesh3d", width=4, height=2, depth=2), "link length"),
             (dict(allow_remote_access=True), "remote_access"),
         ],
     )
@@ -105,12 +103,32 @@ class TestFallbackEnvelope:
 
     @pytest.mark.parametrize(
         "overrides",
-        [dict(engine="cycle"), dict(memory="dram_cache"), dict(noc="torus_ruche")],
+        [dict(engine="cycle"), dict(memory="dram_cache")],
     )
     def test_fallback_cases_still_byte_identical(self, overrides, tiny_graph):
         config = MachineConfig(**overrides).validate()
         factory = machine_factory("bfs", tiny_graph, config)
         assert sharded_payload(factory, 4) == serial_payload(factory)
+
+
+class TestNonUniformLinkTopologies:
+    """Ruche and 3D stacks have mixed link lengths and shard like any other."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(noc="torus_ruche", width=8, height=8),
+            dict(noc="torus_ruche", width=64, height=64),
+            dict(noc="mesh3d", width=4, height=2, depth=2),
+        ],
+        ids=["torus_ruche", "torus_ruche-aggregate", "mesh3d"],
+    )
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_sharded_report_is_byte_identical(self, overrides, shards, small_graph):
+        config = MachineConfig(**overrides).validate()
+        factory = machine_factory("sssp", small_graph, config)
+        assert shard_fallback_reason(factory()) is None
+        assert sharded_payload(factory, shards) == serial_payload(factory)
 
 
 class TestGoldenCasesSharded:

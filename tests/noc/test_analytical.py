@@ -1,9 +1,10 @@
 """Unit tests for the link-load model."""
 
+import numpy as np
 import pytest
 
 from repro.noc.analytical import LinkLoadModel
-from repro.noc.topology import Mesh2D, Torus2D
+from repro.noc.topology import Mesh2D, Torus2D, make_topology
 
 
 class TestDetailedModel:
@@ -140,3 +141,43 @@ class TestAggregateModel:
 
     def test_congestion_factor_orders_mesh_above_torus(self):
         assert Mesh2D(8, 8).congestion_factor > Torus2D(8, 8).congestion_factor
+
+
+class TestRecordBatch:
+    """record_batch must equal the record_message loop on every NoC kind."""
+
+    @pytest.mark.parametrize(
+        "kind,extra",
+        [
+            ("mesh", {}),
+            ("torus", {}),
+            ("torus_ruche", {"ruche_factor": 3}),
+            ("mesh3d", {"depth": 3}),
+            ("torus3d", {"depth": 2}),
+        ],
+    )
+    @pytest.mark.parametrize("detailed", [True, False])
+    def test_bit_equal_to_scalar_loop(self, kind, extra, detailed):
+        # 11x9 routes mix express and unit ruche hops in both dimensions.
+        topology = make_topology(kind, 11, 9, **extra)
+        rng = np.random.default_rng(5)
+        srcs = rng.integers(0, topology.num_tiles, size=400)
+        dsts = rng.integers(0, topology.num_tiles, size=400)
+        # A pitch that is not a power of two exposes any reordered float fold.
+        pitch = 0.1 + 1e-9
+        batched = LinkLoadModel(topology, detailed=detailed)
+        batched.total_flit_millimeters = 1e6 / 3
+        scalar = LinkLoadModel(topology, detailed=detailed)
+        scalar.total_flit_millimeters = 1e6 / 3
+        hops = batched.record_batch(srcs, dsts, 3, pitch)
+        expected = [
+            scalar.record_message(int(s), int(d), 3, pitch) for s, d in zip(srcs, dsts)
+        ]
+        assert hops.tolist() == expected
+        assert batched.total_flit_millimeters == scalar.total_flit_millimeters
+        assert batched.total_flit_hops == scalar.total_flit_hops
+        assert batched.link_flits == scalar.link_flits
+        assert batched.router_flits == scalar.router_flits
+        assert batched.injected_flits == scalar.injected_flits
+        assert batched.ejected_flits == scalar.ejected_flits
+        assert batched.bisection_load() == scalar.bisection_load()

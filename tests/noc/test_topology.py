@@ -122,3 +122,31 @@ class TestFactory:
 
     def test_average_hop_distance_positive(self):
         assert make_topology("torus", 8, 8).average_hop_distance() > 0
+
+
+class TestDirectedLinkCount:
+    """The closed-form link count equals enumerating links() on every kind."""
+
+    @pytest.mark.parametrize(
+        "kind,width,height,extra",
+        [
+            ("mesh", 1, 1, {}),
+            ("mesh", 1, 5, {}),
+            ("mesh", 6, 3, {}),
+            ("torus", 1, 1, {}),
+            ("torus", 2, 3, {}),
+            ("torus", 5, 4, {}),
+            ("torus_ruche", 2, 2, {"ruche_factor": 2}),
+            ("torus_ruche", 3, 4, {"ruche_factor": 3}),
+            ("torus_ruche", 4, 3, {"ruche_factor": 2}),
+            ("torus_ruche", 5, 6, {"ruche_factor": 4}),
+            ("torus_ruche", 9, 7, {"ruche_factor": 3}),
+            ("mesh3d", 3, 2, {"depth": 1}),
+            ("mesh3d", 3, 4, {"depth": 3}),
+            ("torus3d", 2, 3, {"depth": 2}),
+            ("torus3d", 4, 3, {"depth": 5}),
+        ],
+    )
+    def test_matches_enumeration(self, kind, width, height, extra):
+        topo = make_topology(kind, width, height, **extra)
+        assert topo.num_directed_links() == sum(1 for _ in topo.links())

@@ -10,11 +10,13 @@ order fails loudly here.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import BFSKernel, PageRankKernel, SPMVKernel, SSSPKernel, WCCKernel
-from repro.core.config import MachineConfig
+from repro.core.config import NOC_3D_KINDS, NOC_KINDS, MachineConfig
+from repro.core.engine_base import DETAILED_LINK_MODEL_MAX_TILES
 from repro.core.machine import DalorexMachine
 from repro.graph.generators import rmat_graph, uniform_random_graph
 
@@ -58,11 +60,14 @@ def equivalence_cases(draw):
         vertices = draw(st.integers(min_value=8, max_value=40))
         graph = uniform_random_graph(vertices, vertices * 3, seed=seed)
     kernel_name = draw(st.sampled_from(["bfs", "sssp", "wcc", "pagerank", "spmv"]))
+    noc = draw(st.sampled_from(NOC_KINDS))
     overrides = {
-        "width": draw(st.sampled_from([2, 3, 4])),
+        "width": draw(st.sampled_from([2, 3, 4, 6])),
         "height": draw(st.sampled_from([2, 4])),
+        "depth": draw(st.sampled_from([2, 3])) if noc in NOC_3D_KINDS else 1,
         "engine": "analytic",
-        "noc": draw(st.sampled_from(["mesh", "torus"])),
+        "noc": noc,
+        "ruche_factor": draw(st.sampled_from([2, 3])),
         "vertex_placement": draw(st.sampled_from(["block", "interleave"])),
         "barrier": draw(st.booleans()),
         "scheduling": draw(st.sampled_from(["occupancy", "round_robin"])),
@@ -103,21 +108,26 @@ def assert_bit_equal(graph, kernel_name, overrides):
 
 class TestBatchScalarEquivalence:
     @given(equivalence_cases())
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=30, deadline=None)
     def test_batched_run_is_bit_equal_to_scalar_run(self, case):
         graph, kernel_name, overrides = case
         assert_bit_equal(graph, kernel_name, overrides)
 
-    def test_ruche_topology_stays_on_scalar_path(self, small_rmat):
-        config = MachineConfig(width=8, height=8, engine="analytic", noc="torus_ruche")
-        machine = DalorexMachine(config, BFSKernel(root=0), small_rmat)
-        from repro.core.engine_analytic import AnalyticalEngine
+    def test_ruche_batched_run_is_bit_equal_detailed_mode(self, small_rmat):
+        overrides = dict(width=8, height=8, engine="analytic", noc="torus_ruche")
+        for kernel_name in ("bfs", "spmv"):
+            assert_bit_equal(small_rmat, kernel_name, overrides)
 
-        assert AnalyticalEngine(machine)._prepare_batch() is None
-        assert machine.run(verify=True).verified is True
+    def test_ruche_batched_run_is_bit_equal_aggregate_mode(self, small_rmat):
+        overrides = dict(width=64, height=64, engine="analytic", noc="torus_ruche")
+        # More tiles than the detailed link model covers: aggregate accounting.
+        assert MachineConfig(**overrides).num_tiles > DETAILED_LINK_MODEL_MAX_TILES
+        assert_bit_equal(small_rmat, "sssp", overrides)
 
-    def test_batch_mode_engages_on_default_config(self, small_rmat):
-        config = MachineConfig(width=8, height=8, engine="analytic")
+    @pytest.mark.parametrize("noc", NOC_KINDS)
+    def test_batch_mode_engages_on_default_config(self, noc, small_rmat):
+        depth = 2 if noc in NOC_3D_KINDS else 1
+        config = MachineConfig(width=8, height=8, depth=depth, engine="analytic", noc=noc)
         machine = DalorexMachine(config, BFSKernel(root=0), small_rmat)
         from repro.core.engine_analytic import AnalyticalEngine
 
