@@ -9,9 +9,10 @@ accesses cost one cycle, DRAM accesses stall the in-order PU, and the
 Tesseract-LC cache approximation uses an expected-latency model.
 
 Contexts are pooled by the engines (one task execution is one :meth:`reset`,
-not one allocation) and cache the per-machine lookup tables -- array index
-spaces, per-space owner functions, task declarations -- so the per-access hot
-path is a couple of dict probes instead of a chain of method calls.
+not one allocation) and cache the per-machine lookup tables -- a per-array
+access plan (owner function and index space), per-space owner functions,
+task declarations -- so the per-access hot path is one dict probe and one
+owner call instead of a chain of method calls.
 """
 
 from __future__ import annotations
@@ -28,16 +29,17 @@ class TaskContext:
     __slots__ = (
         "_machine",
         "_arrays",
-        "_array_space",
+        "_plans",
         "_owner_of",
         "_tasks_by_name",
         "_config",
         "_allow_remote",
         "_remote_penalty",
-        "_memory",
         "_local_stall",
+        "_charges_dram",
         "_cache_hit_rate",
         "_cache_miss_rate",
+        "_dram_step",
         "tile_id",
         "task",
         "instructions",
@@ -57,11 +59,15 @@ class TaskContext:
         self._arrays = machine.arrays
         program = machine.program
         placement = machine.placement
-        self._array_space = {
-            name: spec.space for name, spec in program.arrays.items()
-        }
         self._owner_of = {
             name: space.owner for name, space in placement.spaces.items()
+        }
+        # Per-array access plan: (owner function, index space).  Arrays on
+        # an unplaced space get no plan and fail on access, as before.
+        self._plans = {
+            name: (self._owner_of[spec.space], spec.space)
+            for name, spec in program.arrays.items()
+            if spec.space in self._owner_of
         }
         self._tasks_by_name = {t.name: t for t in program.tasks}
         # Memory-model constants (the config is immutable): the per-access
@@ -70,17 +76,24 @@ class TaskContext:
         config = self._config
         self._allow_remote = config.allow_remote_access
         self._remote_penalty = config.remote_access_penalty_cycles
-        self._memory = config.memory
-        if self._memory == "sram":
+        memory = config.memory
+        # Every access off SRAM charges ``_dram_step`` DRAM accesses and
+        # ``_cache_hit_rate`` cache hits (0.0 in plain DRAM mode, where
+        # adding it leaves the float unchanged).
+        self._charges_dram = memory != "sram"
+        if memory == "sram":
             self._local_stall = config.sram_latency_cycles - 1
             self._cache_hit_rate = self._cache_miss_rate = 0.0
-        elif self._memory == "dram":
+            self._dram_step = 0.0
+        elif memory == "dram":
             self._local_stall = config.dram_latency_cycles - 1
             self._cache_hit_rate = self._cache_miss_rate = 0.0
-        else:  # dram_cache: expected-latency approximation
+            self._dram_step = 1.0
+        else:  # dram_cache: expected-latency approximation of a large private cache
             hit_rate = config.cache_hit_rate
             self._cache_hit_rate = hit_rate
             self._cache_miss_rate = 1.0 - hit_rate
+            self._dram_step = self._cache_miss_rate
             expected = (
                 hit_rate * config.cache_hit_latency_cycles
                 + (1.0 - hit_rate) * config.dram_latency_cycles
@@ -149,46 +162,48 @@ class TaskContext:
         return self.instructions + self.memory_stall_cycles
 
     # --------------------------------------------------------------- accesses
-    def _account_access(self, space: str, index: int) -> None:
-        owner = self._owner_of[space](index)
-        if owner != self.tile_id:
-            if not self._allow_remote:
-                raise DataLocalityViolation(
-                    f"task {self.task.name!r} on tile {self.tile_id} accessed "
-                    f"{space}[{index}] owned by tile {owner}"
-                )
-            self.remote_accesses += 1
-            self.memory_stall_cycles += self._remote_penalty
-        self.instructions += 1
-        memory = self._memory
-        if memory == "sram":
-            self.memory_stall_cycles += self._local_stall
-        elif memory == "dram":
-            self.dram_accesses += 1.0
-            self.memory_stall_cycles += self._local_stall
-        else:  # dram_cache: expected-latency approximation of a large private cache
-            self.cache_hits += self._cache_hit_rate
-            self.dram_accesses += self._cache_miss_rate
-            self.memory_stall_cycles += self._local_stall
+    def _plan(self, array: str) -> tuple:
+        """Access plan of an array without a cached one: raises the proper
+        error for an unknown array (or an unplaced space)."""
+        space = self._machine.program.array_space(array)
+        return self._owner_of[space], space
 
-    def _space_of(self, array: str) -> str:
-        space = self._array_space.get(array)
-        if space is None:
-            # Unknown array: route through the program for the proper error.
-            space = self._machine.program.array_space(array)
-        return space
+    def _remote_access(self, space: str, index: int, owner: int) -> None:
+        if not self._allow_remote:
+            raise DataLocalityViolation(
+                f"task {self.task.name!r} on tile {self.tile_id} accessed "
+                f"{space}[{index}] owned by tile {owner}"
+            )
+        self.remote_accesses += 1
+        self.memory_stall_cycles += self._remote_penalty
 
     def read(self, array: str, index: int) -> Any:
         """Read one element of a distributed array (must be local in Dalorex)."""
         index = int(index)
-        self._account_access(self._space_of(array), index)
+        owner_of, space = self._plans.get(array) or self._plan(array)
+        owner = owner_of(index)
+        if owner != self.tile_id:
+            self._remote_access(space, index, owner)
+        self.instructions += 1
+        self.memory_stall_cycles += self._local_stall
+        if self._charges_dram:
+            self.cache_hits += self._cache_hit_rate
+            self.dram_accesses += self._dram_step
         self.sram_reads += 1
         return self._arrays[array][index]
 
     def write(self, array: str, index: int, value: Any) -> None:
         """Write one element of a distributed array (must be local in Dalorex)."""
         index = int(index)
-        self._account_access(self._space_of(array), index)
+        owner_of, space = self._plans.get(array) or self._plan(array)
+        owner = owner_of(index)
+        if owner != self.tile_id:
+            self._remote_access(space, index, owner)
+        self.instructions += 1
+        self.memory_stall_cycles += self._local_stall
+        if self._charges_dram:
+            self.cache_hits += self._cache_hit_rate
+            self.dram_accesses += self._dram_step
         self.sram_writes += 1
         self._arrays[array][index] = value
 

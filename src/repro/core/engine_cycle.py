@@ -25,13 +25,25 @@ event kind and a monotonically increasing sequence number into one integer
 (``kind << 60 | seq``), preserving the historical (time, kind, seq) ordering
 -- deliveries before completions before refills at equal timestamps -- while
 keeping comparisons cheap and payloads unallocated.
+
+Link-load accounting is deferred (it is bookkeeping: message timing comes
+from ``network.send`` at emission).  Each emitted message appends its
+``(src, dst, flits)`` to growable logs, and :meth:`CycleEngine._flush_traffic`
+charges them in one batch at the end of every epoch -- and whenever the log
+reaches :data:`TRAFFIC_LOG_CHUNK` messages.  Integer tallies are order-free,
+and the one float accumulator (flit-millimeters) folds in emission order via
+``LinkLoadModel.record_batch``, so the counters match per-message accounting
+bit for bit.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.context import TaskContext
 from repro.core.engine_base import BaseEngine, Seed
 from repro.core.network import make_network_model
 from repro.core.registry import register_engine
@@ -45,6 +57,13 @@ _REFILL = 2
 
 #: Bit position of the event kind inside a heap key (seq stays below 2**60).
 _KIND_SHIFT = 60
+#: Kind bits of delivery and completion keys, for pushes that inline _push.
+_DELIVER_KEY = _DELIVER << _KIND_SHIFT
+_COMPLETE_KEY = _COMPLETE << _KIND_SHIFT
+
+#: Logged messages that trigger a mid-epoch traffic flush, so the log's
+#: memory stays flat however many messages one epoch emits.
+TRAFFIC_LOG_CHUNK = 1 << 11
 
 
 class CycleEngine(BaseEngine):
@@ -62,11 +81,17 @@ class CycleEngine(BaseEngine):
         self.network = make_network_model(self.config, self.topology, state=self.state)
         machine.network = self.network
         self._last_event_time = 0.0
+        # Deferred traffic accounting: one entry per emitted message, in
+        # emission order, charged by _flush_traffic.
+        self._log_src: List[int] = []
+        self._log_dst: List[int] = []
+        self._log_flits: List[int] = []
+        self._interrupting = self.config.remote_invocation == "interrupting"
 
     # ------------------------------------------------------------------- heap
     def _push(self, time: float, kind: int, payload) -> None:
         self._sequence += 1
-        heapq.heappush(self._heap, (time, (kind << _KIND_SHIFT) | self._sequence, payload))
+        heappush(self._heap, (time, (kind << _KIND_SHIFT) | self._sequence, payload))
 
     # ------------------------------------------------------------------ run
     def run(self) -> SimulationResult:
@@ -82,6 +107,7 @@ class CycleEngine(BaseEngine):
                 # pulled as soon as its tile idles (no global synchronization).
                 while self._refill_idle_tiles(self._last_event_time):
                     self._drain_events()
+            self._flush_traffic()
             self.tracer.epoch_finished(epoch_index, self.counters)
             epoch_index += 1
             if not self.machine.barrier_effective:
@@ -123,8 +149,13 @@ class CycleEngine(BaseEngine):
     def _drain_events(self) -> None:
         heap = self._heap
         state = self.state
-        records = state.records
+        records_tile = state.records.tile
+        records_task = state.records.task
+        push_invocation = state.push_invocation
+        messages_received = state.messages_received
         busy = state.busy
+        try_dispatch = self._try_dispatch
+        emit_outputs = self._emit_outputs
         last = self._last_event_time
         # Telemetry is observed in plain locals and flushed once after the
         # loop: with observability off the per-event overhead is a single
@@ -133,24 +164,25 @@ class CycleEngine(BaseEngine):
         deliver_count = complete_count = refill_count = 0
         peak_heap_depth = len(heap)
         while heap:
-            time, key, payload = heapq.heappop(heap)
+            time, key, payload = heappop(heap)
             if time > last:
                 last = time
             kind = key >> _KIND_SHIFT
             if kind == _DELIVER:
                 if telemetry_on:
                     deliver_count += 1
-                tile_id = records.tile[payload]
-                self._enqueue_record(tile_id, records.task[payload], payload)
+                tile_id = records_tile[payload]
+                push_invocation(tile_id, records_task[payload], payload)
+                messages_received[tile_id] += 1
                 if not busy[tile_id]:
-                    self._try_dispatch(tile_id, time)
+                    try_dispatch(tile_id, time)
             elif kind == _COMPLETE:
                 if telemetry_on:
                     complete_count += 1
                 tile_id, ctx = payload
                 busy[tile_id] = False
-                self._emit_outputs(tile_id, ctx, time)
-                self._try_dispatch(tile_id, time)
+                emit_outputs(tile_id, ctx, time)
+                try_dispatch(tile_id, time)
             else:  # _REFILL: low-priority local frontier drain (paper's T4)
                 if telemetry_on:
                     refill_count += 1
@@ -192,59 +224,166 @@ class CycleEngine(BaseEngine):
         return True
 
     def _try_dispatch(self, tile_id: int, now: float) -> None:
+        # Callers only dispatch to an idle PU (the busy flag is checked or
+        # was just cleared).
         state = self.state
-        if state.busy[tile_id]:
-            return
         task_id = state.select_task(tile_id)
-        if task_id is None and not self.machine.barrier_effective:
-            # The tile is idle: schedule a low-priority pull from its local
-            # frontier (the paper's T4 draining the bitmap under TSU control).
-            # The delay models T4's low priority: in-flight updates get a chance
-            # to land before the vertex is re-explored, preserving work efficiency.
-            if not state.refill_pending[tile_id]:
+        if task_id is None:
+            if not self.machine.barrier_effective and not state.refill_pending[tile_id]:
+                # The tile is idle: schedule a low-priority pull from its local
+                # frontier (the paper's T4 draining the bitmap under TSU
+                # control).  The delay models T4's low priority: in-flight
+                # updates get a chance to land before the vertex is
+                # re-explored, preserving work efficiency.
                 state.refill_pending[tile_id] = True
                 self._push(
                     now + self.config.frontier_refill_delay_cycles, _REFILL, tile_id
                 )
             return
-        if task_id is None:
-            return
+        # CoreState.pop_invocation and RecordPool.release, inlined.
+        qi = tile_id * state.num_tasks + (
+            task_id if state.dense_tasks else state.task_column[task_id]
+        )
+        state.queue_popped[qi] += 1
+        state.pending[tile_id] -= 1
+        handle = state.queues[qi].popleft()
         records = state.records
-        handle = state.pop_invocation(tile_id, task_id)
         params = records.params[handle]
         remote = records.remote[handle]
-        records.release(handle)
+        records.params[handle] = ()
+        records.free.append(handle)
+
         task = self.task_table[task_id]
-        ctx, cost = self.execute_invocation(tile_id, task, params, remote)
-        self.account_context(tile_id, ctx)
+        pool = self._context_pool
+        ctx = pool.pop().reset(tile_id, task) if pool else TaskContext(
+            self.machine, tile_id, task
+        )
+        task.handler(ctx, *params)
+        self.tracer.record_execution(task, ctx.outgoing)
+        instructions = ctx.instructions
+        cost = instructions + ctx.memory_stall_cycles
+        if remote and self._interrupting:
+            penalty = self.config.interrupt_penalty_cycles
+            cost += penalty
+            self.counters.remote_interrupts += 1
+            state.interrupt_cycles[tile_id] += penalty
+
+        # BaseEngine.account_context, inlined.
+        counters = self.counters
+        counters.instructions += instructions
+        counters.tasks_executed += 1
+        sram_reads = ctx.sram_reads
+        sram_writes = ctx.sram_writes
+        dram_accesses = ctx.dram_accesses
+        counters.sram_reads += sram_reads
+        counters.sram_writes += sram_writes
+        counters.dram_accesses += dram_accesses
+        counters.cache_hits += ctx.cache_hits
+        counters.edges_processed += ctx.edges
+        state.edges_processed[tile_id] += ctx.edges
+        state.sram_reads[tile_id] += sram_reads
+        state.sram_bytes_read[tile_id] += sram_reads * 4
+        state.sram_writes[tile_id] += sram_writes
+        state.sram_bytes_written[tile_id] += sram_writes * 4
+        state.dram_accesses[tile_id] += dram_accesses
+
         # ProcessingUnit.start_task over the columnar arrays.
         busy_until = state.pu_busy_until[tile_id]
-        start = busy_until if busy_until > now else now
-        state.pu_stall_cycles[tile_id] += max(0.0, start - now)
+        if busy_until > now:
+            state.pu_stall_cycles[tile_id] += busy_until - now
+            start = busy_until
+        else:
+            start = now  # no stall: adding 0.0 would leave the column as is
         completion = start + cost
         state.pu_busy_until[tile_id] = completion
         state.pu_busy_cycles[tile_id] += cost
-        state.pu_instructions[tile_id] += ctx.instructions
+        state.pu_instructions[tile_id] += instructions
         state.pu_tasks_executed[tile_id] += 1
         state.busy[tile_id] = True
-        self._push(completion, _COMPLETE, (tile_id, ctx))
+        self._sequence += 1
+        heappush(self._heap, (completion, _COMPLETE_KEY | self._sequence, (tile_id, ctx)))
 
     def _emit_outputs(self, tile_id: int, ctx, now: float) -> None:
-        records = self.state.records
+        alloc = self.state.records.alloc
         network_send = self.network.send
+        heap = self._heap
+        sequence = self._sequence
+        log_src = self._log_src
+        log_dst = self._log_dst
+        log_flits = self._log_flits
         for task, params, destination in ctx.outgoing:
-            self.record_message_traffic(tile_id, destination, task)
+            flits = task.flits_per_invocation
+            log_src.append(tile_id)
+            log_dst.append(destination)
+            log_flits.append(flits)
             if destination == tile_id:
-                handle = records.alloc(tile_id, task.task_id, params, False)
-                self._enqueue_record(tile_id, task.task_id, handle)
+                task_id = task.task_id
+                self._enqueue_record(tile_id, task_id, alloc(tile_id, task_id, params, False))
             else:
-                # Delivery time of one message, per the configured network model.
-                arrival = network_send(
-                    tile_id, destination, task.flits_per_invocation, now
+                # Delivery time of one message, per the configured network
+                # model (timing, so it stays at emission, in emission order).
+                arrival = network_send(tile_id, destination, flits, now)
+                sequence += 1
+                heappush(
+                    heap,
+                    (
+                        arrival,
+                        _DELIVER_KEY | sequence,
+                        alloc(destination, task.task_id, params, True),
+                    ),
                 )
-                handle = records.alloc(destination, task.task_id, params, True)
-                self._push(arrival, _DELIVER, handle)
-        self.release_context(ctx)
+        self._sequence = sequence
+        self._context_pool.append(ctx)
+        if len(log_src) >= TRAFFIC_LOG_CHUNK:
+            self._flush_traffic()
+
+    # --------------------------------------------------------------- traffic
+    def _flush_traffic(self) -> None:
+        """Charge every logged message to the counters and the link model.
+
+        The batched form of per-message accounting: ``messages``, ``flits``
+        and ``local_messages`` count every message; only non-local messages
+        reach the link model and the per-tile traffic columns.
+        """
+        log_src = self._log_src
+        if not log_src:
+            return
+        srcs = np.array(log_src, dtype=np.int64)
+        dsts = np.array(self._log_dst, dtype=np.int64)
+        flits = np.array(self._log_flits, dtype=np.int64)
+        log_src.clear()
+        self._log_dst.clear()
+        self._log_flits.clear()
+
+        counters = self.counters
+        counters.messages += len(srcs)
+        counters.flits += int(flits.sum())
+        remote = srcs != dsts
+        num_remote = int(np.count_nonzero(remote))
+        counters.local_messages += len(srcs) - num_remote
+        if not num_remote:
+            return
+        srcs = srcs[remote]
+        dsts = dsts[remote]
+        flits = flits[remote]
+        hops = self.link_model.record_batch(srcs, dsts, flits, self.tile_pitch_mm)
+        flit_hops = int((flits * hops).sum())
+        counters.flit_hops += flit_hops
+        counters.router_traversals += flit_hops + int(flits.sum())
+        num_tiles = self.config.num_tiles
+        state = self.state
+        _add_to_column(state.messages_sent, np.bincount(srcs, minlength=num_tiles))
+        _add_to_column(
+            state.flits_sent, np.bincount(srcs, weights=flits, minlength=num_tiles)
+        )
+        _add_to_column(
+            state.flits_received, np.bincount(dsts, weights=flits, minlength=num_tiles)
+        )
+
+
+def _add_to_column(column: list, counts: np.ndarray) -> None:
+    """Add per-tile integer ``counts`` to a CoreState list column in place."""
+    column[:] = (np.asarray(column, dtype=np.int64) + counts.astype(np.int64)).tolist()
 
 
 register_engine("cycle", CycleEngine)

@@ -21,7 +21,7 @@ replayable, cacheable and distributable.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import List
 
 from repro.noc.sim.simulator import NocSimulator
 from repro.noc.topology import Topology
@@ -36,15 +36,19 @@ class AnalyticalNetwork:
     :meth:`CycleEngine._network_delay` arithmetic, kept bit-identical so
     ``network="analytical"`` reproduces historical results byte for byte.
 
-    Routes come memoized from :meth:`Topology.route_profile`, shared with
-    the link-load accounting on the same topology instance.
+    Routes come from the topology's route memo, keyed by pair code
+    (:meth:`Topology.route_entry`), shared with the link-load accounting on
+    the same topology instance.
     """
 
     kind = "analytical"
 
     def __init__(self, topology: Topology, state=None) -> None:
         self.topology = topology
-        self._link_free: Dict[Tuple[int, int], float] = {}
+        self._num_tiles = topology.num_tiles
+        self._routes = topology.routes
+        # Busy-until time per directed link, indexed by dense link code.
+        self._link_free: List[float] = [0.0] * topology.num_directed_links()
         if state is not None:
             # Publish the persistent link state on the machine's columnar
             # state so diagnostics read network occupancy where everything
@@ -53,14 +57,16 @@ class AnalyticalNetwork:
 
     def send(self, src: int, dst: int, flits: int, now: float) -> float:
         """Walk the route charging per-link serialization with persistent state."""
-        links, _lengths = self.topology.route_profile(src, dst)
+        code = src * self._num_tiles + dst
+        entry = self._routes.get(code)
+        if entry is None:
+            entry = self.topology.route_entry(code)
         link_free = self._link_free
-        get = link_free.get
         time = now
-        for link in links:
-            busy = get(link, 0.0)
+        for code in entry[2]:
+            busy = link_free[code]
             time = (busy if busy > time else time) + flits
-            link_free[link] = time
+            link_free[code] = time
         return time
 
 
@@ -75,8 +81,10 @@ def make_network_model(config, topology: Topology, state=None):
     :class:`~repro.core.state.CoreState`, the simulator keeps its per-tile
     injection/ejection port times in the state's ``noc_inject_free`` /
     ``noc_eject_free`` arrays, and both models publish their persistent
-    link-busy map as ``state.noc_link_free`` -- network occupancy lives
-    where the rest of the machine state does.
+    link-busy state as ``state.noc_link_free`` (a list indexed by dense
+    link code for the analytical model, a dict keyed by link for the
+    simulator) -- network occupancy lives where the rest of the machine
+    state does.
     """
     if config.network == "simulated":
         return NocSimulator(

@@ -119,8 +119,12 @@ class BlockPlacement(SpacePlacement):
         self.chunk_size = max(1, -(-length // num_tiles)) if length else 1
 
     def owner(self, index: int) -> int:
-        self._check_index(index)
-        return min(index // self.chunk_size, self.num_tiles - 1)
+        # The bounds check inlined on the hot path; _check_index raises.
+        if not 0 <= index < self.length:
+            self._check_index(index)
+        tile = index // self.chunk_size
+        last = self.num_tiles - 1
+        return tile if tile < last else last
 
     def local_index(self, index: int) -> int:
         self._check_index(index)
@@ -162,7 +166,8 @@ class InterleavedPlacement(SpacePlacement):
     """Low-order-bit placement: element ``i`` lives on tile ``i % num_tiles``."""
 
     def owner(self, index: int) -> int:
-        self._check_index(index)
+        if not 0 <= index < self.length:
+            self._check_index(index)
         return index % self.num_tiles
 
     def local_index(self, index: int) -> int:

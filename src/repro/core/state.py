@@ -125,6 +125,8 @@ class CoreState:
         self.low_threshold = low_threshold
         #: task id -> queue column (identity for dense machine programs).
         self.task_column = {tid: col for col, tid in enumerate(self.task_ids)}
+        #: ``(column, task id)`` pairs in column order, scanned by select_task.
+        self.columns = list(enumerate(self.task_ids))
         self.dense_tasks = self.task_ids == list(range(self.num_tasks))
         #: capacity per queue column (identical across tiles).
         self.queue_capacity = [iq_capacities[tid] for tid in self.task_ids]
@@ -137,6 +139,9 @@ class CoreState:
         self.queue_popped = [0] * slots
         self.queue_max_occupancy = [0] * slots
         self.queue_overflows = [0] * slots
+        #: Pending invocations per tile, summed over its queues (kept by
+        #: every push and pop, so idle checks are one lookup).
+        self.pending = [0] * num_tiles
 
         # Engine dispatch flags.
         self.busy = [False] * num_tiles
@@ -200,11 +205,13 @@ class CoreState:
         col = task_id if self.dense_tasks else self.task_column[task_id]
         qi = tile * self.num_tasks + col
         queue = self.queues[qi]
-        if len(queue) >= self.queue_capacity[col]:
+        occupancy = len(queue)
+        if occupancy >= self.queue_capacity[col]:
             self.queue_overflows[qi] += 1
         queue.append(item)
         self.queue_pushed[qi] += 1
-        occupancy = len(queue)
+        self.pending[tile] += 1
+        occupancy += 1
         if occupancy > self.queue_max_occupancy[qi]:
             self.queue_max_occupancy[qi] = occupancy
 
@@ -212,19 +219,15 @@ class CoreState:
         """Pop the oldest pending invocation of ``(tile, task)``."""
         qi = self.queue_index(tile, task_id)
         self.queue_popped[qi] += 1
+        self.pending[tile] -= 1
         return self.queues[qi].popleft()
 
     def tile_pending(self, tile: int) -> int:
         """Total pending invocations across the tile's input queues."""
-        base = tile * self.num_tasks
-        return sum(len(queue) for queue in self.queues[base : base + self.num_tasks])
+        return self.pending[tile]
 
     def tile_is_idle(self, tile: int) -> bool:
-        base = tile * self.num_tasks
-        for queue in self.queues[base : base + self.num_tasks]:
-            if queue:
-                return False
-        return True
+        return not self.pending[tile]
 
     def queue_statistics(self, tile: int) -> Dict[int, dict]:
         """Per-task queue statistics of one tile: capacity, occupancy peak,
@@ -250,18 +253,16 @@ class CoreState:
         output occupancy of 0.5 exceeds the low threshold, exactly as in the
         object implementation.
         """
-        base = tile * self.num_tasks
-        queues = self.queues
-        ready = [
-            tid for col, tid in enumerate(self.task_ids) if queues[base + col]
-        ]
-        if not ready:
+        if not self.pending[tile]:
             self.tsu_gated[tile] = True
             return None
         self.tsu_gated[tile] = False
         self.tsu_decisions[tile] += 1
+        base = tile * self.num_tasks
         if self.scheduling_policy == ROUND_ROBIN:
-            return self._select_round_robin(tile, ready)
+            return self._select_round_robin(tile, base)
+        queues = self.queues
+        ready = [tid for col, tid in self.columns if queues[base + col]]
         if len(ready) == 1:
             # Occupancy selection over a single ready task is that task; the
             # priority comparison only arbitrates between candidates.  (The
@@ -270,18 +271,20 @@ class CoreState:
             return ready[0]
         return self._select_by_occupancy(tile, ready)
 
-    def _select_round_robin(self, tile: int, ready: List[int]) -> int:
-        ready_set = set(ready)
-        task_ids = self.task_ids
+    def _select_round_robin(self, tile: int, base: int) -> int:
+        """The first non-empty queue at or after the cursor, in column order.
+
+        The tile has pending work, so one full turn of the cursor finds it.
+        """
+        queues = self.queues
+        num_tasks = self.num_tasks
         cursor = self.tsu_cursor[tile]
-        for _ in range(self.num_tasks):
-            candidate = task_ids[cursor % self.num_tasks]
+        while True:
+            col = cursor % num_tasks
             cursor += 1
-            if candidate in ready_set:
+            if queues[base + col]:
                 self.tsu_cursor[tile] = cursor
-                return candidate
-        self.tsu_cursor[tile] = cursor
-        return min(ready)
+                return self.task_ids[col]
 
     def _select_by_occupancy(self, tile: int, ready: List[int]) -> int:
         base = tile * self.num_tasks

@@ -37,16 +37,14 @@ class Task:
     iq_capacity: int = 64
     description: str = ""
 
-    @property
-    def flits_per_invocation(self) -> int:
-        """Message length in flits (one flit per parameter, head included)."""
-        return max(1, self.num_params)
-
     def __post_init__(self) -> None:
         if self.num_params < 1:
             raise ValueError(f"task {self.name!r} must take at least the routing index")
         if self.iq_capacity < 1:
             raise ValueError(f"task {self.name!r} needs a positive input-queue capacity")
+        #: Message length in flits (one flit per parameter, head included).
+        #: A plain attribute: the engines read it once per emitted message.
+        self.flits_per_invocation = self.num_params
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

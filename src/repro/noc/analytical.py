@@ -8,6 +8,7 @@ congestion the paper shows in Fig. 10, and feed the energy model via flit-hops.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Tuple
 
 import numpy as np
@@ -22,7 +23,7 @@ def millimeter_terms(
     topology: Topology,
     srcs: np.ndarray,
     dsts: np.ndarray,
-    flits: int,
+    flits,
     tile_pitch_mm: float,
     detailed: bool,
 ) -> np.ndarray:
@@ -31,13 +32,29 @@ def millimeter_terms(
     :meth:`LinkLoadModel.record_message` adds ``flits * length * pitch`` once
     per link, route by route, in detailed mode and ``flits * span * pitch``
     once per message in aggregate mode.  Folding the returned terms with
-    ``sequential_sum`` reproduces that ``+=`` loop bit-exactly.
+    ``sequential_sum`` reproduces that ``+=`` loop bit-exactly.  ``flits`` is
+    one length for every message or a per-message array; in detailed mode
+    each message's length repeats over its route's links.
     """
     if detailed:
         lengths = topology.route_link_lengths_batch(srcs, dsts)
+        if np.ndim(flits):
+            flits = np.repeat(flits, topology.hop_distance_batch(srcs, dsts))
     else:
         lengths = topology.route_span_batch(srcs, dsts)
     return (flits * lengths) * tile_pitch_mm
+
+
+def _tally(index: np.ndarray, flits, minlength: int) -> np.ndarray:
+    """Per-bin flit totals of messages binned by ``index``, as ``int64``.
+
+    ``flits`` is one length for every message or a per-message array;
+    ``bincount`` weights go through float64, which is exact for the
+    < 2^53 flit totals involved.
+    """
+    if np.ndim(flits):
+        return np.bincount(index, weights=flits, minlength=minlength).astype(np.int64)
+    return flits * np.bincount(index, minlength=minlength)
 
 
 class LinkLoadModel:
@@ -106,15 +123,18 @@ class LinkLoadModel:
         return len(links)
 
     def record_batch(
-        self, srcs: np.ndarray, dsts: np.ndarray, flits: int, tile_pitch_mm: float = 1.0
+        self, srcs: np.ndarray, dsts: np.ndarray, flits, tile_pitch_mm: float = 1.0
     ) -> np.ndarray:
-        """Charge a batch of equal-length messages; returns per-message hops.
+        """Charge a batch of messages; returns per-message hops.
 
-        Bit-equal to calling :meth:`record_message` once per ``(src, dst)``
-        pair in order: the integer tallies are order-free scatters, and the
-        only float accumulator (``total_flit_millimeters``) folds
-        :func:`millimeter_terms` in emission order with ``sequential_sum``,
-        which reproduces the scalar ``+=`` loop for any link lengths.
+        ``flits`` is one length for every message or an ``int64`` array of
+        per-message lengths.  Bit-equal to calling :meth:`record_message`
+        once per ``(src, dst)`` pair in order: the integer tallies are
+        order-free scatters, and the only float accumulator
+        (``total_flit_millimeters``) folds :func:`millimeter_terms` in
+        emission order with ``sequential_sum``, which reproduces the scalar
+        ``+=`` loop for any link lengths -- so one batch and the same
+        messages split over consecutive batches agree bit for bit.
         """
         topology = self.topology
         num = len(srcs)
@@ -123,10 +143,10 @@ class LinkLoadModel:
             return np.zeros(0, dtype=np.int64)
         num_tiles = topology.num_tiles
         inject = np.asarray(self.injected_flits, dtype=np.int64)
-        inject += flits * np.bincount(srcs, minlength=num_tiles)
+        inject += _tally(srcs, flits, num_tiles)
         self.injected_flits = inject.tolist()
         eject = np.asarray(self.ejected_flits, dtype=np.int64)
-        eject += flits * np.bincount(dsts, minlength=num_tiles)
+        eject += _tally(dsts, flits, num_tiles)
         self.ejected_flits = eject.tolist()
 
         nonlocal_mask = srcs != dsts
@@ -135,9 +155,11 @@ class LinkLoadModel:
             return hops
         nl_src = srcs[nonlocal_mask]
         nl_dst = dsts[nonlocal_mask]
+        if np.ndim(flits):
+            flits = flits[nonlocal_mask]
         nl_hops = topology.hop_distance_batch(nl_src, nl_dst)
         hops[nonlocal_mask] = nl_hops
-        self.total_flit_hops += int(flits * nl_hops.sum())
+        self.total_flit_hops += int((flits * nl_hops).sum())
         self.total_flit_millimeters = _sequential_sum(
             self.total_flit_millimeters,
             millimeter_terms(
@@ -150,37 +172,35 @@ class LinkLoadModel:
             crossing = ((nl_src % topology.width) < middle) != (
                 (nl_dst % topology.width) < middle
             )
-            self._bisection_flits += int(flits * crossing.sum())
+            self._bisection_flits += int((flits * crossing).sum())
             return hops
 
-        pair_codes, pair_counts = np.unique(
-            nl_src * num_tiles + nl_dst, return_counts=True
+        pair_codes, inverse = np.unique(nl_src * num_tiles + nl_dst, return_inverse=True)
+        # One memoized route per unique (src, dst) pair, as dense link codes
+        # (a route has one link per hop); everything downstream is flat
+        # integer scatters.  bincount weights go through float64, which is
+        # exact for the < 2^53 flit totals involved.
+        get = topology.routes.get
+        route_entry = topology.route_entry
+        code_lists = [(get(code) or route_entry(code))[2] for code in pair_codes.tolist()]
+        pair_hops = np.empty(len(pair_codes), dtype=np.int64)
+        pair_hops[inverse] = nl_hops
+        link_codes = np.fromiter(
+            chain.from_iterable(code_lists), dtype=np.int64, count=int(pair_hops.sum())
         )
-        # One memoized link-code array per unique (src, dst) pair; everything
-        # downstream is flat integer scatters.  bincount weights go through
-        # float64, which is exact for the < 2^53 flit totals involved.
-        code_arrays = [
-            topology.route_link_codes(code) for code in pair_codes.tolist()
-        ]
-        route_lengths = np.fromiter(
-            (len(codes) for codes in code_arrays),
-            dtype=np.int64,
-            count=len(code_arrays),
-        )
-        all_codes = np.concatenate(code_arrays)
-        charges = np.repeat(flits * pair_counts, route_lengths)
-        unique_links, inverse = np.unique(all_codes, return_inverse=True)
-        link_sums = np.bincount(inverse, weights=charges).astype(np.int64)
+        charges = np.repeat(_tally(inverse, flits, len(pair_codes)), pair_hops)
+        links_by_id = topology.links_by_id
+        link_sums = np.bincount(link_codes, weights=charges, minlength=len(links_by_id))
+        used = np.flatnonzero(link_sums)
         link_flits = self.link_flits
-        for code, charge in zip(unique_links.tolist(), link_sums.tolist()):
-            link = (code // num_tiles, code % num_tiles)
+        router_flits = self.router_flits
+        for code, charge in zip(used.tolist(), link_sums[used].astype(np.int64).tolist()):
+            link = links_by_id[code]
             link_flits[link] = link_flits.get(link, 0) + charge
-        router_flits = np.asarray(self.router_flits, dtype=np.int64)
-        router_flits += np.bincount(
-            unique_links // num_tiles, weights=link_sums, minlength=num_tiles
-        ).astype(np.int64)
-        router_flits += flits * np.bincount(nl_dst, minlength=num_tiles)
-        self.router_flits = router_flits.tolist()
+            router_flits[link[0]] += charge
+        router = np.asarray(router_flits, dtype=np.int64)
+        router += _tally(nl_dst, flits, num_tiles)
+        self.router_flits = router.tolist()
         return hops
 
     # ------------------------------------------------------------------ bounds

@@ -20,6 +20,7 @@ fraction of a tile pitch in wire length.
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
@@ -29,6 +30,12 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 Link = Tuple[int, int]
+
+#: Serializes route-memo misses.  Topologies are shared process-wide
+#: (``cached_topology``) and a worker may simulate on several threads; the
+#: dense link codes must be handed out exactly once per link.  Hits never
+#: take the lock: entries are immutable once published.
+_ROUTE_MISS_LOCK = threading.Lock()
 
 
 def _ring_distance(delta: np.ndarray, size: int) -> np.ndarray:
@@ -49,6 +56,16 @@ class Topology(ABC):
             raise ConfigurationError("topology dimensions must be positive")
         self.width = width
         self.height = height
+        #: Route memo behind :meth:`route_entry`, keyed by pair code.  Hot
+        #: loops probe it directly (a hit skips the method call); only
+        #: route_entry fills it.
+        self.routes: dict = {}
+        #: Directed links in first-routed order: a link's dense code is its
+        #: index here (``_link_codes`` maps the link back to it, and
+        #: ``_link_lengths`` holds its physical length).
+        self.links_by_id: List[Link] = []
+        self._link_codes: dict = {}
+        self._link_lengths: List[float] = []
 
     # -------------------------------------------------------------- addressing
     @property
@@ -89,14 +106,18 @@ class Topology(ABC):
         """Dimension-ordered (X then Y) route from ``src`` to ``dst`` inclusive."""
         sx, sy = self.coords(src)
         dx, dy = self.coords(dst)
+        width = self.width
+        height = self.height
         path = [src]
         x, y = sx, sy
-        for step in self.next_hop_offsets(dx - sx, self.width):
-            x = (x + step) % self.width
-            path.append(self.tile_at(x, y))
-        for step in self.next_hop_offsets(dy - sy, self.height):
-            y = (y + step) % self.height
-            path.append(self.tile_at(x, y))
+        # Coordinates stay in range (every step wraps), so tiles are
+        # computed directly rather than through the checked tile_at.
+        for step in self.next_hop_offsets(dx - sx, width):
+            x = (x + step) % width
+            path.append(y * width + x)
+        for step in self.next_hop_offsets(dy - sy, height):
+            y = (y + step) % height
+            path.append(y * width + x)
         return path
 
     def route_dims(self, src: int, dst: int, dim_order: Tuple[int, ...]) -> List[int]:
@@ -259,64 +280,72 @@ class Topology(ABC):
         path = self.route(src, dst)
         return list(zip(path[:-1], path[1:]))
 
-    #: Per-topology cap on memoized route profiles.  Topology instances are
+    #: Per-topology cap on memoized routes.  Topology instances are
     #: process-lived (``cached_topology``), so an uncapped cache would grow
     #: toward num_tiles^2 entries on a long-running worker; 16x16 and 32x32
     #: grids stay fully cached, larger grids cache their hottest pairs.
     ROUTE_PROFILE_CACHE_LIMIT = 1 << 17
 
-    def route_profile(self, src: int, dst: int) -> tuple:
-        """Memoized ``(links, lengths)`` of the dimension-ordered route.
+    def route_entry(self, pair_code: int) -> tuple:
+        """Memoized ``(links, lengths, codes)`` of route ``src*num_tiles + dst``.
 
-        ``links`` is :meth:`links_on_route`; ``lengths`` the matching
-        per-link physical lengths in tile pitches.  Routes are pure functions
-        of (src, dst), and the cache lives on the topology instance, so every
-        consumer sharing one topology -- the link-load models of both
-        engines, the analytical network, per-epoch accounting -- shares one
-        route computation per pair.
+        ``links`` is :meth:`links_on_route`, ``lengths`` the matching
+        per-link physical lengths in tile pitches, and ``codes`` the same
+        links as dense link codes: indices into :attr:`links_by_id`, all
+        below :meth:`num_directed_links`, so per-link state can live in a
+        flat list and per-link sums come from one ``np.bincount``.  Routes
+        are pure functions of the pair and the cache lives on the topology
+        instance, so every consumer sharing one topology -- the link-load
+        models of both engines, the analytical network, per-epoch
+        accounting -- shares one route computation per pair, and one bound
+        covers every view of it.
         """
-        cache = getattr(self, "_route_profiles", None)
-        if cache is None:
-            cache = self._route_profiles = {}
-        key = (src, dst)
-        profile = cache.get(key)
-        if profile is None:
-            links = self.links_on_route(src, dst)
-            lengths = [self.link_length_tiles(*link) for link in links]
-            profile = (links, lengths)
+        entry = self.routes.get(pair_code)
+        if entry is None:
+            with _ROUTE_MISS_LOCK:
+                entry = self._route_miss(pair_code)
+        return entry
+
+    def _route_miss(self, pair_code: int) -> tuple:
+        """Compute, memoize and return one route entry (under the miss lock)."""
+        cache = self.routes
+        entry = cache.get(pair_code)
+        if entry is None:
+            num_tiles = self.num_tiles
+            link_codes = self._link_codes
+            links_by_id = self.links_by_id
+            link_lengths = self._link_lengths
+            links = []
+            lengths = []
+            codes = []
+            for link in self.links_on_route(pair_code // num_tiles, pair_code % num_tiles):
+                code = link_codes.get(link)
+                if code is None:
+                    code = link_codes[link] = len(links_by_id)
+                    links_by_id.append(link)
+                    link_lengths.append(self.link_length_tiles(*link))
+                # Routes share one tuple per directed link, so a cached
+                # route costs a list slot per link, not a fresh tuple.
+                links.append(links_by_id[code])
+                lengths.append(link_lengths[code])
+                codes.append(code)
+            entry = (links, lengths, codes)
             # Bounded FIFO: evict the oldest-inserted entry once full, so a
             # process-lived topology serving many traffic patterns keeps a
             # bounded working set instead of merely refusing to learn new
             # routes (or, worse, growing toward num_tiles^2 entries).
             while len(cache) >= self.ROUTE_PROFILE_CACHE_LIMIT:
                 cache.pop(next(iter(cache)))
-            cache[key] = profile
-        return profile
+            cache[pair_code] = entry
+        return entry
 
-    def route_link_codes(self, pair_code: int) -> "np.ndarray":
-        """Memoized route of ``src*num_tiles + dst`` as flat directed-link codes.
+    def route_profile(self, src: int, dst: int) -> tuple:
+        """Memoized ``(links, lengths)`` of the dimension-ordered route."""
+        return self.route_entry(src * self.num_tiles + dst)[:2]
 
-        Each entry is ``link_src * num_tiles + link_dst`` for one link of the
-        dimension-ordered route -- the array form the batched link-load
-        accounting scatters through ``np.bincount``.  Bounded like
-        :meth:`route_profile` (same eviction policy, separate cache).
-        """
-        cache = getattr(self, "_route_link_codes", None)
-        if cache is None:
-            cache = self._route_link_codes = {}
-        codes = cache.get(pair_code)
-        if codes is None:
-            num_tiles = self.num_tiles
-            links, _lengths = self.route_profile(
-                pair_code // num_tiles, pair_code % num_tiles
-            )
-            codes = np.fromiter(
-                (a * num_tiles + b for a, b in links), dtype=np.int64, count=len(links)
-            )
-            while len(cache) >= self.ROUTE_PROFILE_CACHE_LIMIT:
-                cache.pop(next(iter(cache)))
-            cache[pair_code] = codes
-        return codes
+    def route_link_codes(self, pair_code: int) -> List[int]:
+        """Memoized dense link codes of route ``src*num_tiles + dst``."""
+        return self.route_entry(pair_code)[2]
 
     def links(self) -> Iterator[Link]:
         """All directed links of the topology."""

@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps import make_kernel
 from repro.core.config import MachineConfig
-from repro.core.engine_base import BaseEngine
+from repro.core.engine_cycle import CycleEngine
 from repro.core.machine import DalorexMachine
 from repro.errors import InvariantViolation
 from repro.graph.generators import rmat_graph
@@ -79,35 +79,40 @@ class TestDetailedTrace:
 
 class TestInjectedBugsAreCaught:
     """Acceptance: a deliberately injected off-by-one in a work counter is
-    caught by the invariant tracer in (under) one run."""
+    caught by the invariant tracer in (under) one run.
+
+    The bugs are injected at the cycle engine's accounting seams: the
+    dispatch (which folds each execution into the counters) and the
+    deferred traffic flush (which counts the logged messages)."""
 
     def test_off_by_one_in_tasks_executed_is_caught(self, monkeypatch):
-        original = BaseEngine.account_context
+        original = CycleEngine._try_dispatch
         state = {"injected": False}
 
-        def tampered(self, tile_id, ctx):
-            original(self, tile_id, ctx)
-            if not state["injected"]:
+        def tampered(self, tile_id, now):
+            before = self.counters.tasks_executed
+            original(self, tile_id, now)
+            if not state["injected"] and self.counters.tasks_executed > before:
                 state["injected"] = True
                 self.counters.tasks_executed += 1  # the injected off-by-one
 
-        monkeypatch.setattr(BaseEngine, "account_context", tampered)
+        monkeypatch.setattr(CycleEngine, "_try_dispatch", tampered)
         with pytest.raises(InvariantViolation, match="tasks_executed"):
             run_machine("cycle", app="sssp")
         assert state["injected"]
 
     def test_dropped_message_count_is_caught(self, monkeypatch):
-        original = BaseEngine.record_message_traffic
+        original = CycleEngine._flush_traffic
         state = {"injected": False}
 
-        def tampered(self, src, dst, task):
-            hops = original(self, src, dst, task)
-            if not state["injected"] and src != dst:
+        def tampered(self):
+            before = self.counters.messages
+            original(self)
+            if not state["injected"] and self.counters.messages > before:
                 state["injected"] = True
                 self.counters.messages -= 1  # lose one message
-            return hops
 
-        monkeypatch.setattr(BaseEngine, "record_message_traffic", tampered)
+        monkeypatch.setattr(CycleEngine, "_flush_traffic", tampered)
         with pytest.raises(InvariantViolation, match="messages"):
             run_machine("cycle", app="sssp")
         assert state["injected"]
