@@ -134,48 +134,52 @@ class AnalyticalEngine(BaseEngine):
         if epoch_index > 0:
             epoch_busy += self.charge_epoch_seeding(resolved)
 
-        state = self.state
-        counters = self.counters
         worklist = deque(
             (tile_id, task, params, 0, False) for tile_id, task, params in resolved
         )
         while worklist or self._refill_all_tiles(worklist):
             tile_id, task, params, generation, remote = worklist.popleft()
-            ctx, cost = self.execute_invocation(tile_id, task, params, remote)
-            self.account_context(tile_id, ctx)
-            # ProcessingUnit.account_busy over the columnar arrays.
-            state.pu_busy_cycles[tile_id] += cost
-            state.pu_instructions[tile_id] += ctx.instructions
-            state.pu_tasks_executed[tile_id] += 1
-            epoch_busy[tile_id] += cost
             tasks_this_epoch += 1
-            for out_task, out_params, destination in ctx.outgoing:
-                flits = out_task.flits_per_invocation
-                counters.messages += 1
-                counters.flits += flits
-                if destination == tile_id:
-                    counters.local_messages += 1
-                else:
-                    hops = epoch_link.record_message(
-                        tile_id, destination, flits, self.tile_pitch_mm
-                    )
-                    counters.flit_hops += flits * hops
-                    counters.router_traversals += flits * (hops + 1)
-                    state.messages_sent[tile_id] += 1
-                    state.flits_sent[tile_id] += flits
-                    state.flits_received[destination] += flits
-                next_generation = generation + 1
-                if next_generation > max_generation:
-                    max_generation = next_generation
-                worklist.append(
-                    (destination, out_task, out_params, next_generation, destination != tile_id)
-                )
-            self.release_context(ctx)
+            if self._execute_item(
+                tile_id, task, params, generation, remote, epoch_link, epoch_busy, worklist
+            ) and generation + 1 > max_generation:
+                max_generation = generation + 1
 
         self.link_model.merge(epoch_link)
         compute_bound = float(epoch_busy.max()) if len(epoch_busy) else 0.0
         return self._epoch_cycles(compute_bound, epoch_link, epoch_busy, tasks_this_epoch,
                                   max_generation, average_hops)
+
+    def _execute_item(
+        self, tile_id, task, params, generation, remote, epoch_link, epoch_busy, out
+    ) -> int:
+        """Execute one invocation on the scalar path.
+
+        Charges its cost to ``epoch_busy`` and its messages to the counters
+        and ``epoch_link``, appends its children to ``out`` as worklist items,
+        and returns how many it emitted.
+        """
+        ctx, cost = self.execute_invocation(tile_id, task, params, remote)
+        epoch_busy[tile_id] += cost
+        counters = self.counters
+        for out_task, out_params, destination in ctx.outgoing:
+            flits = out_task.flits_per_invocation
+            counters.messages += 1
+            counters.flits += flits
+            if destination == tile_id:
+                counters.local_messages += 1
+            else:
+                hops = epoch_link.record_message(
+                    tile_id, destination, flits, self.tile_pitch_mm
+                )
+                counters.flit_hops += flits * hops
+                counters.router_traversals += flits * (hops + 1)
+            out.append(
+                (destination, out_task, out_params, generation + 1, destination != tile_id)
+            )
+        emitted = len(ctx.outgoing)
+        self.release_context(ctx)
+        return emitted
 
     def _refill_all_tiles(self, worklist: deque) -> bool:
         """Barrierless mode: pull parked frontier work once the worklist drains."""
@@ -189,23 +193,6 @@ class AnalyticalEngine(BaseEngine):
         return refilled
 
     # ------------------------------------------------------------- batch mode
-    #: CoreState per-tile counter lists rebound to numpy arrays in batch mode
-    #: (integer counters scatter through np.add.at; floats stay order-exact
-    #: because np.add.at applies duplicate indices in element order).
-    _BATCH_INT_FIELDS = (
-        "pu_instructions",
-        "pu_tasks_executed",
-        "messages_sent",
-        "flits_sent",
-        "flits_received",
-        "edges_processed",
-        "sram_reads",
-        "sram_writes",
-        "sram_bytes_read",
-        "sram_bytes_written",
-    )
-    _BATCH_FLOAT_FIELDS = ("pu_busy_cycles", "dram_accesses", "interrupt_cycles")
-
     def _prepare_batch(self) -> Optional[dict]:
         """Batch handler table when every gate passes, else None (scalar mode).
 
@@ -228,11 +215,12 @@ class AnalyticalEngine(BaseEngine):
         return handlers
 
     def _rebind_state_arrays(self) -> None:
+        """Rebind the two per-tile result columns to numpy arrays for batch
+        scatters (np.add.at applies duplicate indices in element order, so
+        the float column stays order-exact)."""
         state = self.state
-        for name in self._BATCH_INT_FIELDS:
-            setattr(state, name, np.asarray(getattr(state, name), dtype=np.int64))
-        for name in self._BATCH_FLOAT_FIELDS:
-            setattr(state, name, np.asarray(getattr(state, name), dtype=np.float64))
+        state.pu_busy_cycles = np.asarray(state.pu_busy_cycles, dtype=np.float64)
+        state.pu_instructions = np.asarray(state.pu_instructions, dtype=np.int64)
 
     def _run_epoch_batched(
         self, seeds: List[Seed], epoch_index: int, average_hops: float
@@ -328,30 +316,22 @@ class AnalyticalEngine(BaseEngine):
             penalty = config.interrupt_penalty_cycles
             cost = np.where(remote, cost + penalty, cost)
             counters.remote_interrupts += int(remote.sum())
-            np.add.at(state.interrupt_cycles, tiles[remote], float(penalty))
 
-        # account_context over the whole segment.
+        # The counter and PU-column charges of execute_invocation, per segment.
         counters.instructions += int(instructions.sum())
         counters.tasks_executed += n
         counters.sram_reads += int(reads.sum())
         counters.sram_writes += int(writes.sum())
-        np.add.at(state.sram_reads, tiles, reads)
-        np.add.at(state.sram_bytes_read, tiles, reads * 4)
-        np.add.at(state.sram_writes, tiles, writes)
-        np.add.at(state.sram_bytes_written, tiles, writes * 4)
         dram = tables.dram(accesses)
         if dram is not None:
             counters.dram_accesses = sequential_sum(counters.dram_accesses, dram)
-            np.add.at(state.dram_accesses, tiles, dram)
         hits = tables.hits(accesses)
         if hits is not None:
             counters.cache_hits = sequential_sum(counters.cache_hits, hits)
         if result.edges is not None:
             counters.edges_processed += int(result.edges.sum())
-            np.add.at(state.edges_processed, tiles, result.edges)
         np.add.at(state.pu_busy_cycles, tiles, cost)
         np.add.at(state.pu_instructions, tiles, instructions)
-        np.add.at(state.pu_tasks_executed, tiles, 1)
         np.add.at(epoch_busy, tiles, cost)
 
         children: List[Segment] = []
@@ -378,9 +358,6 @@ class AnalyticalEngine(BaseEngine):
                 )
                 counters.flit_hops += int(flits * hops.sum())
                 counters.router_traversals += int(flits * (hops + 1).sum())
-                np.add.at(state.messages_sent, nl_src, 1)
-                np.add.at(state.flits_sent, nl_src, flits)
-                np.add.at(state.flits_received, nl_dst, flits)
             child_gens = np.repeat(segment.gens + 1, counts_per_item)
             max_child_gen = int(child_gens.max())
             children.append(Segment(out_task, dests, out_params, child_gens, remote_out))
@@ -388,46 +365,24 @@ class AnalyticalEngine(BaseEngine):
 
     def _execute_segment_scalar(self, segment: Segment, epoch_link, epoch_busy):
         """Per-item fallback: the exact scalar path over one segment's items."""
-        state = self.state
-        counters = self.counters
         items_out = []
         max_child_gen = 0
         emit_counts = np.zeros(segment.n, dtype=np.int64)
         for index in range(segment.n):
-            tile_id = int(segment.tiles[index])
-            params = tuple(column[index] for column in segment.params)
             generation = int(segment.gens[index])
-            remote = bool(segment.remote[index])
-            ctx, cost = self.execute_invocation(tile_id, segment.task, params, remote)
-            self.account_context(tile_id, ctx)
-            state.pu_busy_cycles[tile_id] += cost
-            state.pu_instructions[tile_id] += ctx.instructions
-            state.pu_tasks_executed[tile_id] += 1
-            epoch_busy[tile_id] += cost
-            emit_counts[index] = len(ctx.outgoing)
-            for out_task, out_params, destination in ctx.outgoing:
-                flits = out_task.flits_per_invocation
-                counters.messages += 1
-                counters.flits += flits
-                if destination == tile_id:
-                    counters.local_messages += 1
-                else:
-                    hops = epoch_link.record_message(
-                        tile_id, destination, flits, self.tile_pitch_mm
-                    )
-                    counters.flit_hops += flits * hops
-                    counters.router_traversals += flits * (hops + 1)
-                    state.messages_sent[tile_id] += 1
-                    state.flits_sent[tile_id] += flits
-                    state.flits_received[destination] += flits
-                next_generation = generation + 1
-                if next_generation > max_child_gen:
-                    max_child_gen = next_generation
-                items_out.append(
-                    (destination, out_task, out_params, next_generation,
-                     destination != tile_id)
-                )
-            self.release_context(ctx)
+            emitted = self._execute_item(
+                int(segment.tiles[index]),
+                segment.task,
+                tuple(column[index] for column in segment.params),
+                generation,
+                bool(segment.remote[index]),
+                epoch_link,
+                epoch_busy,
+                items_out,
+            )
+            emit_counts[index] = emitted
+            if emitted and generation + 1 > max_child_gen:
+                max_child_gen = generation + 1
         children = segments_from_items(items_out)
         return children, segment.n, max_child_gen, (emit_counts if items_out else None)
 

@@ -71,9 +71,11 @@ class BaseEngine:
     def execute_invocation(
         self, tile_id: int, task: Task, params: tuple, remote: bool
     ) -> Tuple[TaskContext, float]:
-        """Run one task handler functionally and return its context and cost.
+        """Run one task handler, charge it, and return its context and cost.
 
-        The returned context comes from the engine's pool; pass it back to
+        The execution's counters fold into the machine-wide totals and its
+        cost and instructions into the tile's PU columns.  The returned
+        context comes from the engine's pool; pass it back to
         :meth:`release_context` once its ``outgoing`` list has been consumed.
         """
         pool = self._context_pool
@@ -82,21 +84,11 @@ class BaseEngine:
         )
         task.handler(ctx, *params)
         self.tracer.record_execution(task, ctx.outgoing)
+        counters = self.counters
         cost = ctx.cycles
         if remote and self.config.remote_invocation == "interrupting":
             cost += self.config.interrupt_penalty_cycles
-            self.counters.remote_interrupts += 1
-            self.state.interrupt_cycles[tile_id] += self.config.interrupt_penalty_cycles
-        return ctx, cost
-
-    def release_context(self, ctx: TaskContext) -> None:
-        """Return a context to the pool for reuse by the next execution."""
-        self._context_pool.append(ctx)
-
-    def account_context(self, tile_id: int, ctx: TaskContext) -> None:
-        """Fold one task execution's counters into the machine-wide totals."""
-        state = self.state
-        counters = self.counters
+            counters.remote_interrupts += 1
         counters.instructions += ctx.instructions
         counters.tasks_executed += 1
         counters.sram_reads += ctx.sram_reads
@@ -104,14 +96,14 @@ class BaseEngine:
         counters.dram_accesses += ctx.dram_accesses
         counters.cache_hits += ctx.cache_hits
         counters.edges_processed += ctx.edges
-        state.edges_processed[tile_id] += ctx.edges
-        # Scratchpad access accounting (Scratchpad.record_read/record_write
-        # over the columnar arrays: 4 bytes per entry).
-        state.sram_reads[tile_id] += ctx.sram_reads
-        state.sram_bytes_read[tile_id] += ctx.sram_reads * 4
-        state.sram_writes[tile_id] += ctx.sram_writes
-        state.sram_bytes_written[tile_id] += ctx.sram_writes * 4
-        state.dram_accesses[tile_id] += ctx.dram_accesses
+        state = self.state
+        state.pu_busy_cycles[tile_id] += cost
+        state.pu_instructions[tile_id] += ctx.instructions
+        return ctx, cost
+
+    def release_context(self, ctx: TaskContext) -> None:
+        """Return a context to the pool for reuse by the next execution."""
+        self._context_pool.append(ctx)
 
     # ------------------------------------------------------------------ seeds
     def resolve_seeds(self, seeds: Sequence[Seed]) -> List[Tuple[int, Task, tuple]]:

@@ -139,20 +139,12 @@ class CycleEngine(BaseEngine):
             self._push(time_base, _DELIVER, handle)
 
     # ----------------------------------------------------------------- events
-    def _enqueue_record(self, tile_id: int, task_id: int, handle: int) -> None:
-        """Push a pooled record handle into the tile's task input queue and
-        count the received message."""
-        state = self.state
-        state.push_invocation(tile_id, task_id, handle)
-        state.messages_received[tile_id] += 1
-
     def _drain_events(self) -> None:
         heap = self._heap
         state = self.state
         records_tile = state.records.tile
         records_task = state.records.task
         push_invocation = state.push_invocation
-        messages_received = state.messages_received
         busy = state.busy
         try_dispatch = self._try_dispatch
         emit_outputs = self._emit_outputs
@@ -173,7 +165,6 @@ class CycleEngine(BaseEngine):
                     deliver_count += 1
                 tile_id = records_tile[payload]
                 push_invocation(tile_id, records_task[payload], payload)
-                messages_received[tile_id] += 1
                 if not busy[tile_id]:
                     try_dispatch(tile_id, time)
             elif kind == _COMPLETE:
@@ -217,10 +208,11 @@ class CycleEngine(BaseEngine):
         resolved = self.resolve_refill(tile_id)
         if not resolved:
             return False
-        records = self.state.records
+        state = self.state
+        alloc = state.records.alloc
         for task, params in resolved:
-            handle = records.alloc(tile_id, task.task_id, params, False)
-            self._enqueue_record(tile_id, task.task_id, handle)
+            task_id = task.task_id
+            state.push_invocation(tile_id, task_id, alloc(tile_id, task_id, params, False))
         return True
 
     def _try_dispatch(self, tile_id: int, now: float) -> None:
@@ -262,49 +254,34 @@ class CycleEngine(BaseEngine):
         self.tracer.record_execution(task, ctx.outgoing)
         instructions = ctx.instructions
         cost = instructions + ctx.memory_stall_cycles
-        if remote and self._interrupting:
-            penalty = self.config.interrupt_penalty_cycles
-            cost += penalty
-            self.counters.remote_interrupts += 1
-            state.interrupt_cycles[tile_id] += penalty
-
-        # BaseEngine.account_context, inlined.
         counters = self.counters
+        if remote and self._interrupting:
+            cost += self.config.interrupt_penalty_cycles
+            counters.remote_interrupts += 1
+
+        # The counter charges of BaseEngine.execute_invocation, inlined.
         counters.instructions += instructions
         counters.tasks_executed += 1
-        sram_reads = ctx.sram_reads
-        sram_writes = ctx.sram_writes
-        dram_accesses = ctx.dram_accesses
-        counters.sram_reads += sram_reads
-        counters.sram_writes += sram_writes
-        counters.dram_accesses += dram_accesses
+        counters.sram_reads += ctx.sram_reads
+        counters.sram_writes += ctx.sram_writes
+        counters.dram_accesses += ctx.dram_accesses
         counters.cache_hits += ctx.cache_hits
         counters.edges_processed += ctx.edges
-        state.edges_processed[tile_id] += ctx.edges
-        state.sram_reads[tile_id] += sram_reads
-        state.sram_bytes_read[tile_id] += sram_reads * 4
-        state.sram_writes[tile_id] += sram_writes
-        state.sram_bytes_written[tile_id] += sram_writes * 4
-        state.dram_accesses[tile_id] += dram_accesses
 
-        # ProcessingUnit.start_task over the columnar arrays.
+        # PU occupancy: the task starts once the PU frees up.
         busy_until = state.pu_busy_until[tile_id]
-        if busy_until > now:
-            state.pu_stall_cycles[tile_id] += busy_until - now
-            start = busy_until
-        else:
-            start = now  # no stall: adding 0.0 would leave the column as is
-        completion = start + cost
+        completion = (busy_until if busy_until > now else now) + cost
         state.pu_busy_until[tile_id] = completion
         state.pu_busy_cycles[tile_id] += cost
         state.pu_instructions[tile_id] += instructions
-        state.pu_tasks_executed[tile_id] += 1
         state.busy[tile_id] = True
         self._sequence += 1
         heappush(self._heap, (completion, _COMPLETE_KEY | self._sequence, (tile_id, ctx)))
 
     def _emit_outputs(self, tile_id: int, ctx, now: float) -> None:
-        alloc = self.state.records.alloc
+        state = self.state
+        alloc = state.records.alloc
+        push_invocation = state.push_invocation
         network_send = self.network.send
         heap = self._heap
         sequence = self._sequence
@@ -318,7 +295,7 @@ class CycleEngine(BaseEngine):
             log_flits.append(flits)
             if destination == tile_id:
                 task_id = task.task_id
-                self._enqueue_record(tile_id, task_id, alloc(tile_id, task_id, params, False))
+                push_invocation(tile_id, task_id, alloc(tile_id, task_id, params, False))
             else:
                 # Delivery time of one message, per the configured network
                 # model (timing, so it stays at emission, in emission order).
@@ -343,7 +320,7 @@ class CycleEngine(BaseEngine):
 
         The batched form of per-message accounting: ``messages``, ``flits``
         and ``local_messages`` count every message; only non-local messages
-        reach the link model and the per-tile traffic columns.
+        reach the link model.
         """
         log_src = self._log_src
         if not log_src:
@@ -370,20 +347,6 @@ class CycleEngine(BaseEngine):
         flit_hops = int((flits * hops).sum())
         counters.flit_hops += flit_hops
         counters.router_traversals += flit_hops + int(flits.sum())
-        num_tiles = self.config.num_tiles
-        state = self.state
-        _add_to_column(state.messages_sent, np.bincount(srcs, minlength=num_tiles))
-        _add_to_column(
-            state.flits_sent, np.bincount(srcs, weights=flits, minlength=num_tiles)
-        )
-        _add_to_column(
-            state.flits_received, np.bincount(dsts, weights=flits, minlength=num_tiles)
-        )
-
-
-def _add_to_column(column: list, counts: np.ndarray) -> None:
-    """Add per-tile integer ``counts`` to a CoreState list column in place."""
-    column[:] = (np.asarray(column, dtype=np.int64) + counts.astype(np.int64)).tolist()
 
 
 register_engine("cycle", CycleEngine)

@@ -106,16 +106,6 @@ class ShardWorker:
     link model are exactly the deltas the hub later merges.
     """
 
-    _FLOAT_FIELDS = AnalyticalEngine._BATCH_FLOAT_FIELDS
-    #: Integer state written only at item-owner tiles (safe to ship as the
-    #: owned slice).  ``flits_received`` is cross-written at message
-    #: destinations and ships as a full array summed at the hub.
-    _OWNED_INT_FIELDS = tuple(
-        name
-        for name in AnalyticalEngine._BATCH_INT_FIELDS
-        if name != "flits_received"
-    )
-
     def __init__(self, machine, plan: ShardPlan, shard_index: int) -> None:
         reason = shard_fallback_reason(machine)
         if reason is not None:
@@ -247,17 +237,14 @@ class ShardWorker:
         return None
 
     def finalize(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+        # Both per-tile result columns are written only at item-owner tiles,
+        # so the owned slices are the shard's whole contribution.
         state = self.engine.state
         reply: Dict[str, Any] = {
-            "float_state": {
-                name: getattr(state, name)[self.lo : self.hi].copy()
-                for name in self._FLOAT_FIELDS
-            },
-            "int_state": {
-                name: getattr(state, name)[self.lo : self.hi].copy()
-                for name in self._OWNED_INT_FIELDS
-            },
-            "flits_received": np.asarray(state.flits_received, dtype=np.int64),
+            "owned_state": (
+                state.pu_busy_cycles[self.lo : self.hi].copy(),
+                state.pu_instructions[self.lo : self.hi].copy(),
+            ),
         }
         if msg.get("gather_arrays", True):
             reply.update(self.gather())
@@ -693,13 +680,9 @@ class ShardCoordinator:
         state = self.engine.state
         for shard, reply in replies.items():
             lo, hi = self.plan.extent(shard)
-            for name, values in reply["float_state"].items():
-                getattr(state, name)[lo:hi] = values
-            for name, values in reply["int_state"].items():
-                getattr(state, name)[lo:hi] = values
-            state.flits_received += np.asarray(
-                reply["flits_received"], dtype=np.int64
-            )
+            state.pu_busy_cycles[lo:hi], state.pu_instructions[lo:hi] = reply[
+                "owned_state"
+            ]
             if gather_arrays:
                 self._apply_gathered(shard, reply["arrays"])
         self._arrays_current = True

@@ -1,26 +1,28 @@
 """Columnar (structure-of-arrays) per-tile state of one simulated machine.
 
-The engines' hot loops used to walk a forest of per-tile objects: every tile
-owned a ``Tile`` with a ``ProcessingUnit``, a ``TaskSchedulingUnit``, a
-``Scratchpad`` and one ``CircularQueue`` per task, and every pending task
-invocation was a frozen ``TaskInvocation`` dataclass travelling through
-tuple-payload heap events.  :class:`CoreState` replaces all of that mutable
-state with flat parallel arrays indexed by tile id (and, for queues, by
-``tile * num_tasks + task``):
+:class:`CoreState` holds every tile's mutable simulation state as flat
+parallel arrays indexed by tile id (and, for queues, by
+``tile * num_tasks + task``).  It keeps only the columns something reads
+back:
 
-* PU occupancy and accounting (``pu_busy_until``, ``pu_busy_cycles``, ...);
-* task input queues (one deque of pooled record indices per tile x task) with
-  their push/pop/high-water/overflow statistics;
-* TSU scheduling state (round-robin cursors, decision counts, clock gating);
-* per-tile traffic, memory and frontier-bucket state;
+* task input queues (one deque of pooled record indices per tile x task),
+  their push/pop/high-water counts (read by the invariant tracer) and the
+  per-tile ``pending`` total (read by scheduling and idle checks);
+* engine dispatch flags (``busy``, ``refill_pending``);
+* PU occupancy (``pu_busy_until``) and the two per-tile result columns,
+  ``pu_busy_cycles`` and ``pu_instructions``;
+* the TSU round-robin cursors;
+* per-tile local frontier buckets;
 * the NoC interface port state shared with the flit-level simulator
   (``noc_inject_free`` / ``noc_eject_free``).
 
+Machine-wide traffic, memory and energy tallies live in the engine's
+:class:`~repro.core.results.AggregateCounters`; per-router traffic comes
+from the link-load model.
+
 Pending invocations are held in a :class:`RecordPool`: parallel arrays of
 (tile, task, params, remote) slots recycled through a free list, so steady
-state simulation allocates no per-event objects.  Nothing wraps these
-columns in per-tile objects: the engines, the energy accounting and the
-invariant tracer all read them directly.
+state simulation allocates no per-event objects.
 
 Scheduling semantics are bit-compatible with
 :class:`repro.tile.tsu.TaskSchedulingUnit`; ``tests/core/test_state.py`` pins
@@ -138,7 +140,6 @@ class CoreState:
         self.queue_pushed = [0] * slots
         self.queue_popped = [0] * slots
         self.queue_max_occupancy = [0] * slots
-        self.queue_overflows = [0] * slots
         #: Pending invocations per tile, summed over its queues (kept by
         #: every push and pop, so idle checks are one lookup).
         self.pending = [0] * num_tiles
@@ -147,34 +148,13 @@ class CoreState:
         self.busy = [False] * num_tiles
         self.refill_pending = [False] * num_tiles
 
-        # Processing unit occupancy and accounting.
+        # Processing unit occupancy and the per-tile result columns.
         self.pu_busy_until = [0.0] * num_tiles
         self.pu_busy_cycles = [0.0] * num_tiles
         self.pu_instructions = [0] * num_tiles
-        self.pu_tasks_executed = [0] * num_tiles
-        self.pu_stall_cycles = [0.0] * num_tiles
 
-        # TSU scheduling state.
+        # TSU round-robin cursors.
         self.tsu_cursor = [0] * num_tiles
-        self.tsu_decisions = [0] * num_tiles
-        self.tsu_gated = [True] * num_tiles
-
-        # Per-tile traffic / memory counters (energy model + heatmaps).
-        self.messages_sent = [0] * num_tiles
-        self.messages_received = [0] * num_tiles
-        self.flits_sent = [0] * num_tiles
-        self.flits_received = [0] * num_tiles
-        self.dram_accesses = [0] * num_tiles
-        self.cache_hits = [0] * num_tiles
-        self.cache_misses = [0] * num_tiles
-        self.interrupt_cycles = [0.0] * num_tiles
-        self.edges_processed = [0] * num_tiles
-
-        # Scratchpad access counters (dynamic SRAM energy).
-        self.sram_reads = [0] * num_tiles
-        self.sram_writes = [0] * num_tiles
-        self.sram_bytes_read = [0] * num_tiles
-        self.sram_bytes_written = [0] * num_tiles
 
         # Per-tile local frontier buckets (the paper's T3 -> T4 hand-off).
         self.frontier: List[list] = [[] for _ in range(num_tiles)]
@@ -196,7 +176,7 @@ class CoreState:
 
     def push_invocation(self, tile: int, task_id: int, item) -> None:
         """Push one pending invocation; mirrors ``CircularQueue.push`` with
-        ``allow_overflow=True`` (overflow counted, never rejected).
+        ``allow_overflow=True`` (a full queue never rejects).
 
         This is the single engine-path push implementation (the cycle
         engine's delivery/refill enqueues land here), so it inlines the
@@ -205,13 +185,10 @@ class CoreState:
         col = task_id if self.dense_tasks else self.task_column[task_id]
         qi = tile * self.num_tasks + col
         queue = self.queues[qi]
-        occupancy = len(queue)
-        if occupancy >= self.queue_capacity[col]:
-            self.queue_overflows[qi] += 1
         queue.append(item)
         self.queue_pushed[qi] += 1
         self.pending[tile] += 1
-        occupancy += 1
+        occupancy = len(queue)
         if occupancy > self.queue_max_occupancy[qi]:
             self.queue_max_occupancy[qi] = occupancy
 
@@ -229,20 +206,6 @@ class CoreState:
     def tile_is_idle(self, tile: int) -> bool:
         return not self.pending[tile]
 
-    def queue_statistics(self, tile: int) -> Dict[int, dict]:
-        """Per-task queue statistics of one tile: capacity, occupancy peak,
-        pushes and overflow events per task id."""
-        stats = {}
-        for col, task_id in enumerate(self.task_ids):
-            qi = tile * self.num_tasks + col
-            stats[task_id] = {
-                "capacity": self.queue_capacity[col],
-                "max_occupancy": self.queue_max_occupancy[qi],
-                "total_pushed": self.queue_pushed[qi],
-                "overflow_events": self.queue_overflows[qi],
-            }
-        return stats
-
     # -------------------------------------------------------------- scheduling
     def select_task(self, tile: int) -> Optional[int]:
         """Pick the next task the tile's TSU would run (or ``None``).
@@ -254,10 +217,7 @@ class CoreState:
         object implementation.
         """
         if not self.pending[tile]:
-            self.tsu_gated[tile] = True
             return None
-        self.tsu_gated[tile] = False
-        self.tsu_decisions[tile] += 1
         base = tile * self.num_tasks
         if self.scheduling_policy == ROUND_ROBIN:
             return self._select_round_robin(tile, base)

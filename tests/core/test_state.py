@@ -62,17 +62,44 @@ class TestQueueColumns:
         assert state.tile_pending(0) == 0
         assert not state.tile_is_idle(1)
         assert state.pop_invocation(1, 0) == "a"
-        stats = state.queue_statistics(1)
-        assert stats[0]["total_pushed"] == 2
-        assert stats[0]["max_occupancy"] == 2
-        assert stats[1]["total_pushed"] == 0
+        qi = state.queue_index(1, 0)
+        assert state.queue_pushed[qi] == 2
+        assert state.queue_popped[qi] == 1
+        assert state.queue_max_occupancy[qi] == 2
+        assert state.pending == [0, 1]
+        other = state.queue_index(1, 1)
+        assert state.queue_pushed[other] == 0
+        assert state.queue_max_occupancy[other] == 0
 
     def test_overflow_counted_not_rejected(self):
         state = CoreState(1, [0], {0: 1}, "occupancy")
         state.push_invocation(0, 0, "x")
         state.push_invocation(0, 0, "y")
-        assert state.queue_statistics(0)[0]["overflow_events"] == 1
+        # A full queue never rejects: the push past capacity still lands.
+        assert state.queue_pushed[0] == 2
+        assert state.queue_max_occupancy[0] == 2
         assert state.tile_pending(0) == 2
+        assert list(state.queues[0]) == ["x", "y"]
+
+
+class TestColumnSet:
+    """CoreState keeps only the columns some reader uses."""
+
+    CONFIGURATION = {
+        "num_tiles", "task_ids", "num_tasks", "scheduling_policy",
+        "high_threshold", "low_threshold", "task_column", "columns",
+        "dense_tasks", "queue_capacity",
+    }
+    COLUMNS = {
+        "queues", "queue_pushed", "queue_popped", "queue_max_occupancy",
+        "pending", "busy", "refill_pending", "pu_busy_until", "pu_busy_cycles",
+        "pu_instructions", "tsu_cursor", "frontier", "noc_inject_free",
+        "noc_eject_free", "records",
+    }
+
+    def test_exact_column_set(self):
+        state = CoreState(3, [0, 1], {0: 4, 1: 8}, "round_robin")
+        assert set(vars(state)) == self.CONFIGURATION | self.COLUMNS
 
 
 @st.composite
@@ -113,12 +140,10 @@ class TestSchedulingConformance:
             expected = tsu.select_task(queues)
             got = state.select_task(0)
             assert got == expected
-            assert state.tsu_gated[0] == tsu.clock_gated
             if expected is None:
                 break
             queues[expected].pop()
             state.pop_invocation(0, expected)
-        assert state.tsu_decisions[0] == tsu.scheduling_decisions
 
 
 def _run_payload(app, engine, barrier, graph):

@@ -16,7 +16,12 @@ import pytest
 
 from repro.core.config import MachineConfig
 from repro.core.machine import DalorexMachine
-from repro.core.shard_exec import run_sharded, shard_fallback_reason
+from repro.core.shard_exec import (
+    InprocChannel,
+    ShardWorker,
+    run_sharded,
+    shard_fallback_reason,
+)
 from repro.experiments.common import build_kernel
 from repro.graph.generators import rmat_graph, uniform_random_graph
 from repro.runtime.serialize import result_to_payload
@@ -209,3 +214,36 @@ class TestFloatExactness:
         )
         for name, array in serial.outputs.items():
             assert np.array_equal(array, sharded.outputs[name]), name
+
+
+class TestFinalizeShipsOwnedSlices:
+    """Shard finalize replies carry per-tile state for the owned extent only."""
+
+    def test_every_finalize_array_is_an_owned_slice(self, small_graph):
+        config = MachineConfig(width=4, height=4).validate()
+        factory = machine_factory("sssp", small_graph, config)
+        workers = []
+
+        def channel_factory(plan):
+            for shard in range(plan.num_shards):
+                workers.append(ShardWorker(factory(), plan, shard))
+            return [InprocChannel(worker) for worker in workers]
+
+        run_sharded(factory, 2, verify=False, channel_factory=channel_factory)
+        assert len(workers) == 2
+        for worker in workers:
+            arrays = list(_array_leaves(worker.finalize({"gather_arrays": False})))
+            assert arrays
+            for array in arrays:
+                assert len(array) == worker.hi - worker.lo
+
+
+def _array_leaves(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _array_leaves(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _array_leaves(item)
