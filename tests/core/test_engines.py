@@ -104,3 +104,21 @@ class TestCycleEngineBehaviour:
         result = run("cycle", small_rmat, SPMVKernel)
         assert result.epochs == 1
         assert result.verified is True
+
+
+class TestPerTileColumns:
+    """The per-tile PU columns fold back to the run's global counters."""
+
+    @pytest.mark.parametrize("engine", ["analytic", "cycle"])
+    @pytest.mark.parametrize("app", ["bfs", "sssp", "wcc", "pagerank", "spmv"])
+    def test_per_tile_instructions_sum_to_global_count(self, engine, app, small_rmat):
+        from repro.core.registry import make_kernel
+
+        kwargs = {"root": small_rmat.highest_degree_vertex()} if app in ("bfs", "sssp") else {}
+        config = MachineConfig(width=4, height=4, engine=engine)
+        machine = DalorexMachine(config, make_kernel(app, **kwargs), small_rmat)
+        result = machine.run(verify=True)
+        assert len(result.per_tile_instructions) == config.num_tiles
+        assert int(result.per_tile_instructions.sum()) == result.counters.instructions
+        assert np.all(result.per_tile_busy_cycles >= 0)
+        assert result.per_tile_busy_cycles.sum() > 0

@@ -82,6 +82,46 @@ class TestQueueColumns:
         assert list(state.queues[0]) == ["x", "y"]
 
 
+class TestQueueCounterConformance:
+    """The queue counter columns agree with the CircularQueue oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacities=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+        ops=st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 3), st.booleans()),
+            max_size=60,
+        ),
+    )
+    def test_counters_match_oracle_queues(self, capacities, ops):
+        task_ids = list(range(len(capacities)))
+        capacity_of = dict(enumerate(capacities))
+        state = CoreState(2, task_ids, capacity_of, "occupancy")
+        oracle = {
+            (tile, tid): CircularQueue(capacity_of[tid], allow_overflow=True)
+            for tile in range(2)
+            for tid in task_ids
+        }
+        for step, (tile, tid, push) in enumerate(ops):
+            tid %= len(task_ids)
+            queue = oracle[tile, tid]
+            if push:
+                queue.push(step)
+                state.push_invocation(tile, tid, step)
+            elif not queue.is_empty:
+                assert state.pop_invocation(tile, tid) == queue.pop()
+        for (tile, tid), queue in oracle.items():
+            qi = state.queue_index(tile, tid)
+            assert state.queue_pushed[qi] == queue.total_pushed
+            assert state.queue_popped[qi] == queue.total_popped
+            assert state.queue_max_occupancy[qi] == queue.max_occupancy
+            assert len(state.queues[qi]) == len(queue)
+        for tile in range(2):
+            assert state.pending[tile] == sum(
+                len(oracle[tile, tid]) for tid in task_ids
+            )
+
+
 class TestColumnSet:
     """CoreState keeps only the columns some reader uses."""
 

@@ -237,6 +237,40 @@ class TestFinalizeShipsOwnedSlices:
             for array in arrays:
                 assert len(array) == worker.hi - worker.lo
 
+    @pytest.mark.parametrize("app,overrides", CASES)
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_pu_columns_written_only_at_owned_tiles(
+        self, app, overrides, shards, small_graph
+    ):
+        # Shipping owned slices is lossless only if no shard charges a PU
+        # outside its extent; the assembled columns then equal the serial ones.
+        config = MachineConfig(**overrides).validate()
+        factory = machine_factory(app, small_graph, config)
+        workers = []
+
+        def channel_factory(plan):
+            for shard in range(plan.num_shards):
+                workers.append(ShardWorker(factory(), plan, shard))
+            return [InprocChannel(worker) for worker in workers]
+
+        sharded = run_sharded(
+            factory, shards, verify=False, channel_factory=channel_factory
+        )
+        serial = factory().run(verify=False)
+        assert len(workers) == shards
+        for worker in workers:
+            state = worker.engine.state
+            for column in (state.pu_busy_cycles, state.pu_instructions):
+                column = np.asarray(column)
+                assert not column[: worker.lo].any()
+                assert not column[worker.hi :].any()
+        assert np.array_equal(
+            sharded.per_tile_busy_cycles, serial.per_tile_busy_cycles
+        )
+        assert np.array_equal(
+            sharded.per_tile_instructions, serial.per_tile_instructions
+        )
+
 
 def _array_leaves(value):
     if isinstance(value, np.ndarray):
