@@ -3,12 +3,14 @@
 Two honest measurements behind ``--shards`` (see docs/SHARDING.md):
 
 * ``test_sharded_wall_clock``: one fig6-scale analytic run executed at
-  1/2/4 shards on the local process transport.  Per-shard wall-clock and
-  the *detected CPU core count* are recorded side by side -- sharding can
-  only beat serial when the host actually has spare cores, so the report
-  carries the denominator instead of asserting a speedup a single-core CI
-  box cannot produce.  What *is* asserted is the invariant that makes the
-  feature safe to use at all: payloads byte-identical at every shard count.
+  1/2/4 shards on the local process transport, in ``ROUNDS`` interleaved
+  rounds (1, 2, 4, 1, 2, 4, ...) so that no shard count absorbs the process
+  cold start alone.  The median wall-clock per shard count and the
+  *detected CPU core count* are recorded side by side -- sharding can only
+  beat serial when the host actually has spare cores, so the report carries
+  the denominator instead of asserting a speedup a single-core CI box cannot
+  produce.  What *is* asserted is the invariant that makes the feature safe
+  to use at all: payloads byte-identical at every shard count and round.
 
 * ``test_chunked_rmat_peak_memory``: the chunked RMAT generator must build
   the same graph as the serial generator while holding a fraction of its
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import statistics
 import time
 import tracemalloc
 
@@ -29,6 +32,8 @@ from repro.graph.generators import rmat_graph, rmat_graph_chunked
 from repro.runtime import RunSpec, execute_to_payload, reset_graph_memo
 
 SHARD_COUNTS = (1, 2, 4)
+#: Interleaved repeats of every shard count; medians are reported.
+ROUNDS = 3
 
 
 def _spec(shards: int) -> RunSpec:
@@ -43,35 +48,42 @@ def _spec(shards: int) -> RunSpec:
 
 
 def test_sharded_wall_clock(benchmark):
-    """Wall-clock at 1/2/4 shards plus the byte-identity invariant."""
+    """Median wall-clock at 1/2/4 shards plus the byte-identity invariant."""
     os.environ["DALOREX_SHARD_BACKEND"] = "local"
     try:
-        seconds = {}
-        payloads = {}
+        seconds = {shards: [] for shards in SHARD_COUNTS}
+        payloads = []
 
         def run():
-            for shards in SHARD_COUNTS:
-                reset_graph_memo()
-                started = time.perf_counter()
-                _key, payload = execute_to_payload(_spec(shards))
-                seconds[shards] = time.perf_counter() - started
-                # Spec keys differ (shards hashes into the key) but the
-                # result payload must not.
-                payloads[shards] = payload
+            for _round in range(ROUNDS):
+                for shards in SHARD_COUNTS:
+                    reset_graph_memo()
+                    started = time.perf_counter()
+                    _key, payload = execute_to_payload(_spec(shards))
+                    seconds[shards].append(time.perf_counter() - started)
+                    # Spec keys differ (shards hashes into the key) but the
+                    # result payload must not.
+                    payloads.append((shards, payload))
             return payloads
 
         benchmark.pedantic(run, rounds=1, iterations=1)
-        for shards in SHARD_COUNTS[1:]:
-            assert payloads[shards] == payloads[1], (
+        for shards, payload in payloads[1:]:
+            assert payload == payloads[0][1], (
                 f"{shards}-shard payload diverged from serial"
             )
+        medians = {shards: statistics.median(seconds[shards]) for shards in SHARD_COUNTS}
         cores = len(os.sched_getaffinity(0))
         record(benchmark, {
             "cpu_cores_detected": cores,
+            "rounds": ROUNDS,
             "seconds_by_shards": {
-                str(shards): round(seconds[shards], 3) for shards in SHARD_COUNTS
+                str(shards): round(medians[shards], 3) for shards in SHARD_COUNTS
             },
-            "speedup_4_shards": round(seconds[1] / seconds[4], 2),
+            "samples_by_shards": {
+                str(shards): [round(value, 3) for value in seconds[shards]]
+                for shards in SHARD_COUNTS
+            },
+            "speedup_4_shards": round(medians[1] / medians[4], 2),
             "byte_identical": True,
         })
     finally:

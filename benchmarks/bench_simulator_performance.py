@@ -2,10 +2,12 @@
 
 These are the only benchmarks measuring *wall-clock* behaviour of the library
 itself (the figure benchmarks measure the simulated machine).  They document
-the cost of cycle-accurate simulation versus the analytical engine and the cost
-of graph generation, which is what limits stand-in sizes in Python.
+the cost of cycle-accurate simulation versus the analytical engine, the cost
+of detailed link-load accounting, and the cost of graph generation, which is
+what limits stand-in sizes in Python.
 """
 
+import numpy as np
 import pytest
 
 from conftest import record
@@ -13,6 +15,8 @@ from repro.apps import BFSKernel
 from repro.core.config import MachineConfig
 from repro.core.machine import DalorexMachine
 from repro.graph.generators import rmat_graph
+from repro.noc.analytical import LinkLoadModel
+from repro.noc.topology import Torus2D
 
 
 @pytest.fixture(scope="module")
@@ -44,3 +48,26 @@ def test_rmat_generation_speed(benchmark):
     """Generation throughput of the RMAT stand-in generator."""
     graph = benchmark(lambda: rmat_graph(13, edge_factor=10, seed=1))
     record(benchmark, {"vertices": graph.num_vertices, "edges": graph.num_edges})
+
+
+def test_link_load_batch_speed(benchmark):
+    """Detailed ``record_batch`` of a fixed 10k-message batch on a fresh 32x32
+    torus (no route memo to reuse, as on a cold process)."""
+    rng = np.random.default_rng(15)
+    srcs = rng.integers(0, 32 * 32, size=10_000)
+    dsts = rng.integers(0, 32 * 32, size=10_000)
+
+    def run():
+        model = LinkLoadModel(Torus2D(32, 32), detailed=True)
+        model.record_batch(srcs, dsts, 2, 0.5)
+        return model
+
+    model = benchmark(run)
+    record(
+        benchmark,
+        {
+            "messages": len(srcs),
+            "flit_hops": model.total_flit_hops,
+            "max_link_load": model.max_link_load(),
+        },
+    )

@@ -4,7 +4,9 @@ CI runs ``pytest benchmarks/bench_simulator_performance.py --benchmark-json
 BENCH_simulator.json``, uploads the JSON as an artifact, and then runs this
 script to compare the measured means against the committed baseline
 (``benchmarks/BENCH_simulator_baseline.json``).  The job fails when any
-benchmark slowed down by more than ``--threshold`` (default 1.25 = 25%).
+benchmark slowed down by more than ``--threshold`` (default 1.25 = 25%),
+when a baseline benchmark was not measured, or when a measured benchmark
+has no baseline entry.
 
 Raw wall-clock means are not comparable across machines, so both the
 baseline and every check normalize by a *calibration* measurement: a fixed
@@ -170,7 +172,13 @@ def main(argv=None, timer=time.perf_counter, workload=_calibration_workload) -> 
     base_calibration = float(baseline["calibration_seconds"])
     base_means = baseline["benchmarks"]
 
-    failures = []
+    # A measured benchmark with no baseline entry would otherwise go
+    # unchecked; it must be added through --update-baseline.
+    failures = [
+        f"benchmark {name!r} has no baseline entry in {args.baseline}; "
+        "refresh the baseline with --update-baseline"
+        for name in sorted(set(means) - set(base_means))
+    ]
     print(f"{'benchmark':58s} {'base':>8s} {'now':>8s} {'ratio':>6s}")
     for name, base_mean in sorted(base_means.items()):
         mean = means.get(name)

@@ -47,8 +47,8 @@ class AnalyticalNetwork:
         self.topology = topology
         self._num_tiles = topology.num_tiles
         self._routes = topology.routes
-        # Busy-until time per directed link, indexed by dense link code.
-        self._link_free: List[float] = [0.0] * topology.num_directed_links()
+        # Busy-until time per directed link, indexed by canonical link code.
+        self._link_free: List[float] = [0.0] * topology.num_link_codes()
         if state is not None:
             # Publish the persistent link state on the machine's columnar
             # state so diagnostics read network occupancy where everything
@@ -81,7 +81,7 @@ def make_network_model(config, topology: Topology, state=None):
     :class:`~repro.core.state.CoreState`, the simulator keeps its per-tile
     injection/ejection port times in the state's ``noc_inject_free`` /
     ``noc_eject_free`` arrays, and both models publish their persistent
-    link-busy state as ``state.noc_link_free`` (a list indexed by dense
+    link-busy state as ``state.noc_link_free`` (a list indexed by canonical
     link code for the analytical model, a dict keyed by link for the
     simulator) -- network occupancy lives where the rest of the machine
     state does.

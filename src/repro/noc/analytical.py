@@ -4,11 +4,12 @@ Every message is routed over the topology and its flits are charged to each
 directed link on the path.  The resulting per-link loads bound the achievable
 runtime (one flit per link per cycle), expose the mesh-vs-torus center
 congestion the paper shows in Fig. 10, and feed the energy model via flit-hops.
+Per-link loads live in an ``int64`` array indexed by the topology's canonical
+link codes, so a batch of messages is charged with one ``np.bincount``.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Dict, Tuple
 
 import numpy as np
@@ -63,7 +64,8 @@ class LinkLoadModel:
     Two accounting modes are supported:
 
     * ``detailed=True`` (default): every message is routed and its flits are
-      charged to each link on the path.  Exact, but O(hops) per message --
+      charged to each link on the path, in ``code_flits`` (one ``int64``
+      per canonical link code).  Exact, but O(hops) per message --
       appropriate up to a few thousand tiles.
     * ``detailed=False``: only aggregate statistics are kept (flit-hops via the
       O(1) hop distance, endpoint loads, bisection crossings); the hottest link
@@ -75,17 +77,15 @@ class LinkLoadModel:
     def __init__(self, topology: Topology, detailed: bool = True) -> None:
         self.topology = topology
         self.detailed = detailed
-        self.link_flits: Dict[Link, int] = {}
-        # Per-tile counters are plain Python lists: the hot path increments
-        # single elements, where numpy scalar indexing costs ~10x more.
-        # router_traffic() materializes the numpy view on demand.
-        self.router_flits = [0] * topology.num_tiles
-        self.injected_flits = [0] * topology.num_tiles
-        self.ejected_flits = [0] * topology.num_tiles
-        self.total_flit_hops = 0
-        self.total_flit_millimeters = 0.0
-        self.total_messages = 0
-        self._bisection_flits = 0
+        self.reset()
+
+    @property
+    def link_flits(self) -> Dict[Link, int]:
+        """``{(src, dst): flits}`` of every loaded link, built on demand."""
+        used = np.flatnonzero(self.code_flits)
+        srcs, dsts = self.topology.link_code_endpoints
+        links = zip(srcs[used].tolist(), dsts[used].tolist())
+        return dict(zip(links, self.code_flits[used].tolist()))
 
     def record_message(self, src: int, dst: int, flits: int, tile_pitch_mm: float = 1.0) -> int:
         """Charge one ``flits``-long message from ``src`` to ``dst``.
@@ -97,28 +97,28 @@ class LinkLoadModel:
         self.ejected_flits[dst] += flits
         if src == dst:
             return 0
+        topology = self.topology
         if not self.detailed:
-            hops = self.topology.hop_distance(src, dst)
+            hops = topology.hop_distance(src, dst)
             self.total_flit_hops += flits * hops
             self.total_flit_millimeters += (
-                flits * self.topology.route_span_tiles(src, dst) * tile_pitch_mm
+                flits * topology.route_span_tiles(src, dst) * tile_pitch_mm
             )
-            middle = self.topology.width // 2
-            if (self.topology.coords(src)[0] < middle) != (self.topology.coords(dst)[0] < middle):
+            middle = topology.width // 2
+            if (topology.coords(src)[0] < middle) != (topology.coords(dst)[0] < middle):
                 self._bisection_flits += flits
             return hops
-        # Route and per-link lengths come memoized from the topology, shared
-        # with every other model on the same instance.
-        links, lengths = self.topology.route_profile(src, dst)
-        link_flits = self.link_flits
-        router_flits = self.router_flits
+        # Route, per-link lengths and link codes come memoized from the
+        # topology.  A minimal route visits no link and no router twice, so
+        # fancy-indexed adds charge each one once.
+        links, lengths, codes = topology.route_entry(src * topology.num_tiles + dst)
+        self.code_flits[codes] += flits
+        self.router_flits[[link[0] for link in links]] += flits
+        self.router_flits[dst] += flits
         millimeters = self.total_flit_millimeters
-        for link, length in zip(links, lengths):
-            link_flits[link] = link_flits.get(link, 0) + flits
-            router_flits[link[0]] += flits
+        for length in lengths:
             millimeters += flits * length * tile_pitch_mm
         self.total_flit_millimeters = millimeters
-        router_flits[dst] += flits
         self.total_flit_hops += flits * len(links)
         return len(links)
 
@@ -142,12 +142,8 @@ class LinkLoadModel:
         if num == 0:
             return np.zeros(0, dtype=np.int64)
         num_tiles = topology.num_tiles
-        inject = np.asarray(self.injected_flits, dtype=np.int64)
-        inject += _tally(srcs, flits, num_tiles)
-        self.injected_flits = inject.tolist()
-        eject = np.asarray(self.ejected_flits, dtype=np.int64)
-        eject += _tally(dsts, flits, num_tiles)
-        self.ejected_flits = eject.tolist()
+        self.injected_flits += _tally(srcs, flits, num_tiles)
+        self.ejected_flits += _tally(dsts, flits, num_tiles)
 
         nonlocal_mask = srcs != dsts
         hops = np.zeros(num, dtype=np.int64)
@@ -175,32 +171,16 @@ class LinkLoadModel:
             self._bisection_flits += int((flits * crossing).sum())
             return hops
 
-        pair_codes, inverse = np.unique(nl_src * num_tiles + nl_dst, return_inverse=True)
-        # One memoized route per unique (src, dst) pair, as dense link codes
-        # (a route has one link per hop); everything downstream is flat
-        # integer scatters.  bincount weights go through float64, which is
-        # exact for the < 2^53 flit totals involved.
-        get = topology.routes.get
-        route_entry = topology.route_entry
-        code_lists = [(get(code) or route_entry(code))[2] for code in pair_codes.tolist()]
-        pair_hops = np.empty(len(pair_codes), dtype=np.int64)
-        pair_hops[inverse] = nl_hops
-        link_codes = np.fromiter(
-            chain.from_iterable(code_lists), dtype=np.int64, count=int(pair_hops.sum())
+        # One bincount over every hop's canonical link code.  A router
+        # carries the flits it ejects plus those of its outgoing links.
+        self.router_flits += _tally(nl_dst, flits, num_tiles)
+        link_sums = _tally(
+            topology.route_link_codes_batch(nl_src, nl_dst),
+            np.repeat(flits, nl_hops) if np.ndim(flits) else flits,
+            len(self.code_flits),
         )
-        charges = np.repeat(_tally(inverse, flits, len(pair_codes)), pair_hops)
-        links_by_id = topology.links_by_id
-        link_sums = np.bincount(link_codes, weights=charges, minlength=len(links_by_id))
-        used = np.flatnonzero(link_sums)
-        link_flits = self.link_flits
-        router_flits = self.router_flits
-        for code, charge in zip(used.tolist(), link_sums[used].astype(np.int64).tolist()):
-            link = links_by_id[code]
-            link_flits[link] = link_flits.get(link, 0) + charge
-            router_flits[link[0]] += charge
-        router = np.asarray(router_flits, dtype=np.int64)
-        router += _tally(nl_dst, flits, num_tiles)
-        self.router_flits = router.tolist()
+        self.code_flits += link_sums
+        self.router_flits += link_sums.reshape(num_tiles, topology.link_ports).sum(axis=1)
         return hops
 
     # ------------------------------------------------------------------ bounds
@@ -209,28 +189,17 @@ class LinkLoadModel:
         if not self.detailed:
             links = max(1, self.topology.num_directed_links())
             return self.total_flit_hops / links * self.topology.congestion_factor
-        return max(self.link_flits.values(), default=0)
+        return int(self.code_flits.max(initial=0))
 
     def max_endpoint_load(self) -> int:
         """Heaviest injection/ejection flit count over all tiles."""
-        inject = max(self.injected_flits, default=0)
-        eject = max(self.ejected_flits, default=0)
-        return int(max(inject, eject))
+        return int(max(self.injected_flits.max(), self.ejected_flits.max()))
 
     def bisection_load(self) -> int:
         """Flits crossing the vertical middle cut (both directions)."""
         if not self.detailed:
             return self._bisection_flits
-        middle = self.topology.width // 2
-        total = 0
-        for (src, dst), flits in self.link_flits.items():
-            # coords() yields (x, y) on 2D topologies and (x, y, z) on 3D
-            # stacks; the vertical middle cut only cares about x.
-            sx = self.topology.coords(src)[0]
-            dx = self.topology.coords(dst)[0]
-            if (sx < middle) != (dx < middle):
-                total += flits
-        return total
+        return int(self.code_flits[self.topology.bisection_code_mask].sum())
 
     def bisection_bound_cycles(self) -> float:
         """Cycles needed to push the bisection traffic through the bisection links."""
@@ -248,13 +217,14 @@ class LinkLoadModel:
     # ------------------------------------------------------------------- stats
     def router_traffic(self) -> np.ndarray:
         """Flits traversing each router (for utilization heatmaps)."""
-        return np.array(self.router_flits, dtype=np.int64)
+        return self.router_flits.copy()
 
     def link_load_matrix(self) -> np.ndarray:
         """Dense (num_tiles x num_tiles) matrix of link loads (0 where no link)."""
         matrix = np.zeros((self.topology.num_tiles, self.topology.num_tiles), dtype=np.int64)
-        for (src, dst), flits in self.link_flits.items():
-            matrix[src, dst] = flits
+        if self.detailed:
+            srcs, dsts = self.topology.link_code_endpoints
+            np.add.at(matrix, (srcs, dsts), self.code_flits)
         return matrix
 
     def merge(self, other: "LinkLoadModel") -> None:
@@ -276,14 +246,10 @@ class LinkLoadModel:
                 "cannot merge link-load models built on different topologies: "
                 f"{self.topology.describe()} vs {other.topology.describe()}"
             )
-        for link, flits in other.link_flits.items():
-            self.link_flits[link] = self.link_flits.get(link, 0) + flits
-        for tile, flits in enumerate(other.router_flits):
-            self.router_flits[tile] += flits
-        for tile, flits in enumerate(other.injected_flits):
-            self.injected_flits[tile] += flits
-        for tile, flits in enumerate(other.ejected_flits):
-            self.ejected_flits[tile] += flits
+        self.code_flits += other.code_flits
+        self.router_flits += other.router_flits
+        self.injected_flits += other.injected_flits
+        self.ejected_flits += other.ejected_flits
         self.total_flit_hops += other.total_flit_hops
         self.total_flit_millimeters += other.total_flit_millimeters
         self.total_messages += other.total_messages
@@ -291,11 +257,14 @@ class LinkLoadModel:
 
     def reset(self) -> None:
         """Clear all accumulated traffic (the topology keeps its route cache)."""
-        self.link_flits.clear()
-        num_tiles = self.topology.num_tiles
-        self.router_flits = [0] * num_tiles
-        self.injected_flits = [0] * num_tiles
-        self.ejected_flits = [0] * num_tiles
+        topology = self.topology
+        #: Flits per canonical link code (empty in aggregate mode).
+        self.code_flits = np.zeros(
+            topology.num_link_codes() if self.detailed else 0, dtype=np.int64
+        )
+        self.router_flits = np.zeros(topology.num_tiles, dtype=np.int64)
+        self.injected_flits = np.zeros(topology.num_tiles, dtype=np.int64)
+        self.ejected_flits = np.zeros(topology.num_tiles, dtype=np.int64)
         self.total_flit_hops = 0
         self.total_flit_millimeters = 0.0
         self.total_messages = 0

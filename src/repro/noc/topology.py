@@ -3,8 +3,13 @@
 Routing is dimension-ordered (X then Y, then Z on 3D stacks), matching the
 paper's wormhole network.  A route is the ordered list of tiles a message
 traverses, including source and destination; the directed links used are the
-consecutive pairs of that list.  :meth:`Topology.route_dims` generalizes the
-same per-dimension decomposition to arbitrary dimension orders, and
+consecutive pairs of that list.  Every directed link also has a canonical
+dense code, ``src_tile * link_ports + port``, where ``port`` indexes the
+sorted unit steps of each dimension in routing order: per-link state lives in
+flat arrays over that code space, and :meth:`Topology.route_link_codes_batch`
+enumerates the codes of many routes at once in numpy.
+:meth:`Topology.route_dims` generalizes the same per-dimension
+decomposition to arbitrary dimension orders, and
 :meth:`Topology.minimal_next_hops` exposes the per-dimension minimal next-hop
 candidates -- the API the :mod:`repro.noc.sim` routing policies (oblivious
 XY/YX, minimal-adaptive) are built on.
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -33,8 +38,8 @@ Link = Tuple[int, int]
 
 #: Serializes route-memo misses.  Topologies are shared process-wide
 #: (``cached_topology``) and a worker may simulate on several threads; the
-#: dense link codes must be handed out exactly once per link.  Hits never
-#: take the lock: entries are immutable once published.
+#: bounded FIFO must evict each entry once.  Hits never take the lock:
+#: entries are immutable once published.
 _ROUTE_MISS_LOCK = threading.Lock()
 
 
@@ -42,6 +47,12 @@ def _ring_distance(delta: np.ndarray, size: int) -> np.ndarray:
     """Shortest-direction distance around a ring of ``size`` routers."""
     forward = delta % size
     return np.minimum(forward, size - forward)
+
+
+def _ring_direction(delta: np.ndarray, size: int) -> np.ndarray:
+    """Unit step of the shortest direction around a ring (ties go forward)."""
+    forward = delta % size
+    return np.where(forward <= size - forward, 1, -1)
 
 
 class Topology(ABC):
@@ -60,12 +71,6 @@ class Topology(ABC):
         #: loops probe it directly (a hit skips the method call); only
         #: route_entry fills it.
         self.routes: dict = {}
-        #: Directed links in first-routed order: a link's dense code is its
-        #: index here (``_link_codes`` maps the link back to it, and
-        #: ``_link_lengths`` holds its physical length).
-        self.links_by_id: List[Link] = []
-        self._link_codes: dict = {}
-        self._link_lengths: List[float] = []
 
     # -------------------------------------------------------------- addressing
     @property
@@ -205,10 +210,11 @@ class Topology(ABC):
 
     def _dimension_runs_batch(
         self, delta: np.ndarray, size: int, length: float
-    ) -> List[Tuple[np.ndarray, float]]:
-        """Links along one dimension, in route order, as ``(count, length)``
-        runs of equal-length links."""
-        return [(self._dimension_hops_batch(delta, size), length)]
+    ) -> List[Tuple[np.ndarray, np.ndarray, float]]:
+        """Links along one dimension, in route order, as ``(count, step,
+        length)`` runs of ``count`` hops of signed ``step`` each (wrapping
+        modulo ``size``), every one ``length`` tile pitches long."""
+        return [(np.abs(delta), np.where(delta < 0, -1, 1), length)]
 
     def _dimension_link_lengths(self) -> Tuple[float, ...]:
         """Length of a unit hop along each dimension, in tile pitches."""
@@ -245,14 +251,64 @@ class Topology(ABC):
         which :meth:`route_profile` lists its lengths, so the result equals
         concatenating ``route_profile(s, d)[1]`` over the pairs.
         """
-        runs: List[Tuple[np.ndarray, float]] = []
+        runs: List[Tuple[np.ndarray, np.ndarray, float]] = []
         for (delta, size), length in zip(
             self._deltas_batch(srcs, dsts), self._dimension_link_lengths()
         ):
             runs.extend(self._dimension_runs_batch(delta, size, length))
-        counts = np.stack([count for count, _ in runs], axis=1)
-        lengths = np.array([length for _, length in runs], dtype=np.float64)
+        counts = np.stack([count for count, _, _ in runs], axis=1)
+        lengths = np.array([length for _, _, length in runs], dtype=np.float64)
         return np.repeat(np.broadcast_to(lengths, counts.shape).ravel(), counts.ravel())
+
+    def route_link_codes_batch(self, srcs, dsts) -> np.ndarray:
+        """Canonical link codes of every route, concatenated in order.
+
+        The same order as :meth:`route_link_lengths_batch`, so the result
+        equals concatenating ``route_entry(s * num_tiles + d)[2]`` over the
+        pairs.  Each dimension's runs (:meth:`_dimension_runs_batch`) start
+        at the tile the previous run ended on.  Within a run the codes step
+        by ``step * stride * link_ports`` per hop, except for one jump back
+        by the ring size at the hop that wraps, so the whole sequence is one
+        cumulative sum of per-hop increments.
+        """
+        srcs = np.asarray(srcs, dtype=np.int64)
+        dsts = np.asarray(dsts, dtype=np.int64)
+        ports = self.link_ports
+        src_c = self._coords_batch(srcs)
+        dst_c = self._coords_batch(dsts)
+        tile = srcs
+        runs = []  # per run: (count, first code, increment, wrap hop, wrap jump)
+        for dim, size in enumerate(self.dimension_sizes()):
+            stride = self._strides[dim]
+            scale = stride * ports
+            steps = np.array(self._port_steps[dim], dtype=np.int64)
+            coord = src_c[dim]
+            for count, step, _length in self._dimension_runs_batch(
+                dst_c[dim] - coord, size, 0.0
+            ):
+                port = self._port_offsets[dim] + np.searchsorted(steps, step)
+                forward = step > 0
+                # First hop whose coordinate coord + step * k leaves [0, size).
+                wrap = np.where(forward, (size - coord + step - 1) // step, coord // -step + 1)
+                jump = np.where(forward, -size * scale, size * scale)
+                runs.append((count, tile * ports + port, step * scale, wrap, jump))
+                end = (coord + step * count) % size
+                tile = tile + (end - coord) * stride
+                coord = end
+        count, first, increment, wrap, jump = (
+            np.stack([run[i] for run in runs], axis=1).ravel() for i in range(5)
+        )
+        used = count > 0
+        count, first, increment, wrap, jump = (
+            column[used] for column in (count, first, increment, wrap, jump)
+        )
+        start = np.cumsum(count) - count
+        wrapped = wrap < count
+        last = first + increment * (count - 1) + np.where(wrapped, jump, 0)
+        deltas = np.repeat(increment, count)
+        deltas[start] = first - np.concatenate(([0], last[:-1]))
+        deltas[(start + wrap)[wrapped]] += jump[wrapped]
+        return np.cumsum(deltas)
 
     #: Ratio of the hottest link load to the average link load under uniform
     #: random traffic with dimension-ordered routing; used by the sparse
@@ -280,6 +336,63 @@ class Topology(ABC):
         path = self.route(src, dst)
         return list(zip(path[:-1], path[1:]))
 
+    # --------------------------------------------------- canonical link codes
+    @cached_property
+    def _port_steps(self) -> Tuple[Tuple[int, ...], ...]:
+        """Sorted unit steps of every dimension, in routing order."""
+        return tuple(tuple(sorted(self._unit_steps(size))) for size in self.dimension_sizes())
+
+    @cached_property
+    def _port_offsets(self) -> Tuple[int, ...]:
+        """First port of every dimension."""
+        return tuple(np.cumsum([0] + [len(steps) for steps in self._port_steps])[:-1].tolist())
+
+    @cached_property
+    def _strides(self) -> Tuple[int, ...]:
+        """Tile-id distance of one coordinate step along every dimension."""
+        return tuple(np.cumprod((1,) + self.dimension_sizes()[:-1]).tolist())
+
+    @cached_property
+    def link_ports(self) -> int:
+        """Output ports per router: one per unit step of every dimension."""
+        return sum(len(steps) for steps in self._port_steps)
+
+    def num_link_codes(self) -> int:
+        """Size of the canonical link-code space, ``num_tiles * link_ports``.
+
+        Codes of ports that lead nowhere (a mesh edge, a size-1 dimension)
+        stay unused, so the space can exceed :meth:`num_directed_links`.
+        """
+        return self.num_tiles * self.link_ports
+
+    @cached_property
+    def link_code_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(src, dst)`` tile arrays indexed by link code."""
+        tiles = np.arange(self.num_tiles, dtype=np.int64)
+        coords = self._coords_batch(tiles)
+        dsts = [
+            tiles + ((coords[dim] + step) % size - coords[dim]) * self._strides[dim]
+            for dim, size in enumerate(self.dimension_sizes())
+            for step in self._port_steps[dim]
+        ]
+        return np.repeat(tiles, self.link_ports), np.array(dsts, dtype=np.int64).T.ravel()
+
+    @cached_property
+    def bisection_code_mask(self) -> np.ndarray:
+        """Link codes whose link crosses the vertical middle cut (on x)."""
+        srcs, dsts = self.link_code_endpoints
+        middle = self.width // 2
+        return (srcs % self.width < middle) != (dsts % self.width < middle)
+
+    @cached_property
+    def _code_table(self) -> Tuple[list, list, list]:
+        """Per-code link tuples, lengths and code ints, shared by every
+        memoized route (a cached route costs a list slot per link)."""
+        srcs, dsts = self.link_code_endpoints
+        links = list(zip(srcs.tolist(), dsts.tolist()))
+        lengths = [self.link_length_tiles(*link) for link in links]
+        return links, lengths, list(range(len(links)))
+
     #: Per-topology cap on memoized routes.  Topology instances are
     #: process-lived (``cached_topology``), so an uncapped cache would grow
     #: toward num_tiles^2 entries on a long-running worker; 16x16 and 32x32
@@ -291,14 +404,12 @@ class Topology(ABC):
 
         ``links`` is :meth:`links_on_route`, ``lengths`` the matching
         per-link physical lengths in tile pitches, and ``codes`` the same
-        links as dense link codes: indices into :attr:`links_by_id`, all
-        below :meth:`num_directed_links`, so per-link state can live in a
-        flat list and per-link sums come from one ``np.bincount``.  Routes
-        are pure functions of the pair and the cache lives on the topology
-        instance, so every consumer sharing one topology -- the link-load
-        models of both engines, the analytical network, per-epoch
-        accounting -- shares one route computation per pair, and one bound
-        covers every view of it.
+        links as canonical link codes, all below :meth:`num_link_codes`, so
+        per-link state can live in a flat array.  Routes are pure functions
+        of the pair and the cache lives on the topology instance, so every
+        consumer sharing one topology -- the scalar link-load path and the
+        analytical network -- shares one route computation per pair, and
+        one bound covers every view of it.
         """
         entry = self.routes.get(pair_code)
         if entry is None:
@@ -311,25 +422,27 @@ class Topology(ABC):
         cache = self.routes
         entry = cache.get(pair_code)
         if entry is None:
-            num_tiles = self.num_tiles
-            link_codes = self._link_codes
-            links_by_id = self.links_by_id
-            link_lengths = self._link_lengths
-            links = []
-            lengths = []
-            codes = []
-            for link in self.links_on_route(pair_code // num_tiles, pair_code % num_tiles):
-                code = link_codes.get(link)
-                if code is None:
-                    code = link_codes[link] = len(links_by_id)
-                    links_by_id.append(link)
-                    link_lengths.append(self.link_length_tiles(*link))
-                # Routes share one tuple per directed link, so a cached
-                # route costs a list slot per link, not a fresh tuple.
-                links.append(links_by_id[code])
-                lengths.append(link_lengths[code])
-                codes.append(code)
-            entry = (links, lengths, codes)
+            src, dst = divmod(pair_code, self.num_tiles)
+            ports = self.link_ports
+            src_c = self.coords_nd(src)
+            dst_c = self.coords_nd(dst)
+            tile = src
+            raw = []
+            for dim, size in enumerate(self.dimension_sizes()):
+                coord = src_c[dim]
+                steps = self._port_steps[dim]
+                offset = self._port_offsets[dim]
+                for step in self.next_hop_offsets(dst_c[dim] - coord, size):
+                    raw.append(tile * ports + offset + steps.index(step))
+                    end = (coord + step) % size
+                    tile += (end - coord) * self._strides[dim]
+                    coord = end
+            links, lengths, codes = self._code_table
+            entry = (
+                [links[code] for code in raw],
+                [lengths[code] for code in raw],
+                [codes[code] for code in raw],
+            )
             # Bounded FIFO: evict the oldest-inserted entry once full, so a
             # process-lived topology serving many traffic patterns keeps a
             # bounded working set instead of merely refusing to learn new
@@ -344,7 +457,7 @@ class Topology(ABC):
         return self.route_entry(src * self.num_tiles + dst)[:2]
 
     def route_link_codes(self, pair_code: int) -> List[int]:
-        """Memoized dense link codes of route ``src*num_tiles + dst``."""
+        """Memoized canonical link codes of route ``src*num_tiles + dst``."""
         return self.route_entry(pair_code)[2]
 
     def links(self) -> Iterator[Link]:
@@ -359,17 +472,23 @@ class Topology(ABC):
 
     def neighbors(self, tile: int) -> List[int]:
         """Tiles directly reachable from ``tile`` over one link."""
-        x, y = self.coords(tile)
-        result = []
-        for step in self._unit_steps(self.width):
-            result.append(self.tile_at((x + step) % self.width, y))
-        for step in self._unit_steps(self.height):
-            result.append(self.tile_at(x, (y + step) % self.height))
-        return sorted(set(result) - {tile})
+        coords = self.coords_nd(tile)
+        result = set()
+        for dim, size in enumerate(self.dimension_sizes()):
+            for step in self._unit_steps(size):
+                moved = list(coords)
+                moved[dim] += step
+                if self.wraps or 0 <= moved[dim] < size:
+                    moved[dim] %= size
+                    result.add(self.tile_from_nd(tuple(moved)))
+        return sorted(result - {tile})
 
-    @abstractmethod
+    #: True when dimensions have wraparound links (set by the routing mixins).
+    wraps = False
+
     def _unit_steps(self, size: int) -> List[int]:
         """Offsets reachable in one hop along one dimension."""
+        return [-1, 1] if size > 1 else []
 
     # -------------------------------------------------------------- properties
     @abstractmethod
@@ -398,13 +517,10 @@ class Topology(ABC):
 
     def diameter(self) -> int:
         """Maximum hop distance between any two tiles (computed per-dimension)."""
-        worst_x = max(
-            len(self.next_hop_offsets(d, self.width)) for d in range(self.width)
+        return sum(
+            max(len(self.next_hop_offsets(d, size)) for d in range(size))
+            for size in self.dimension_sizes()
         )
-        worst_y = max(
-            len(self.next_hop_offsets(d, self.height)) for d in range(self.height)
-        )
-        return worst_x + worst_y
 
     # --------------------------------------------------------------- identity
     def signature(self) -> Tuple:
@@ -425,14 +541,10 @@ class Topology(ABC):
         return f"{type(self).__name__}({self.width}x{self.height})"
 
 
-class Mesh2D(Topology):
-    """Plain 2D mesh with nearest-neighbour links and no wraparound."""
+class _LineRouting:
+    """Mesh routing in every dimension: unit hops, no wraparound."""
 
-    kind = "mesh"
-    area_factor = 1.0
-    physical_length_factor = 1.0
-    # Dimension-ordered routing concentrates traffic on the central columns/rows.
-    congestion_factor = 2.0
+    wraps = False
 
     def next_hop_offsets(self, delta: int, size: int) -> List[int]:
         step = 1 if delta > 0 else -1
@@ -441,45 +553,15 @@ class Mesh2D(Topology):
     def _dimension_hops(self, delta: int, size: int) -> int:
         return abs(delta)
 
-    def _unit_steps(self, size: int) -> List[int]:
-        return [-1, 1] if size > 1 else []
-
-    def neighbors(self, tile: int) -> List[int]:
-        x, y = self.coords(tile)
-        result = []
-        if x > 0:
-            result.append(self.tile_at(x - 1, y))
-        if x + 1 < self.width:
-            result.append(self.tile_at(x + 1, y))
-        if y > 0:
-            result.append(self.tile_at(x, y - 1))
-        if y + 1 < self.height:
-            result.append(self.tile_at(x, y + 1))
-        return result
-
-    def bisection_links(self) -> int:
-        # Directed links crossing the vertical middle cut, both directions.
-        return 2 * self.height
-
-    def link_length_tiles(self, src: int, dst: int) -> float:
-        return 1.0
-
     def _line_links(self, size: int) -> int:
         return 2 * (size - 1)
 
 
-class Torus2D(Topology):
-    """2D torus with wraparound links and shortest-direction dimension routing.
+class _RingRouting:
+    """Torus routing in every dimension: the shortest direction around the
+    ring, forward on ties."""
 
-    The paper notes a 32-bit 2D torus is ~50% larger than a mesh but doubles the
-    bisection bandwidth; the folded physical layout makes every link span two
-    tile pitches.
-    """
-
-    kind = "torus"
-    area_factor = 1.5
-    physical_length_factor = 2.0
-    congestion_factor = 1.25
+    wraps = True
 
     def next_hop_offsets(self, delta: int, size: int) -> List[int]:
         if size <= 1 or delta == 0:
@@ -504,8 +586,41 @@ class Torus2D(Topology):
 
     _dimension_span_batch = _dimension_hops_batch
 
-    def _unit_steps(self, size: int) -> List[int]:
-        return [-1, 1] if size > 1 else []
+    def _dimension_runs_batch(
+        self, delta: np.ndarray, size: int, length: float
+    ) -> List[Tuple[np.ndarray, np.ndarray, float]]:
+        return [(_ring_distance(delta, size), _ring_direction(delta, size), length)]
+
+
+class Mesh2D(_LineRouting, Topology):
+    """Plain 2D mesh with nearest-neighbour links and no wraparound."""
+
+    kind = "mesh"
+    area_factor = 1.0
+    physical_length_factor = 1.0
+    # Dimension-ordered routing concentrates traffic on the central columns/rows.
+    congestion_factor = 2.0
+
+    def bisection_links(self) -> int:
+        # Directed links crossing the vertical middle cut, both directions.
+        return 2 * self.height
+
+    def link_length_tiles(self, src: int, dst: int) -> float:
+        return 1.0
+
+
+class Torus2D(_RingRouting, Topology):
+    """2D torus with wraparound links and shortest-direction dimension routing.
+
+    The paper notes a 32-bit 2D torus is ~50% larger than a mesh but doubles the
+    bisection bandwidth; the folded physical layout makes every link span two
+    tile pitches.
+    """
+
+    kind = "torus"
+    area_factor = 1.5
+    physical_length_factor = 2.0
+    congestion_factor = 1.25
 
     def bisection_links(self) -> int:
         # Wraparound doubles the number of links crossing the middle cut.
@@ -555,12 +670,16 @@ class RucheTorus2D(Torus2D):
 
     def _dimension_runs_batch(
         self, delta: np.ndarray, size: int, length: float
-    ) -> List[Tuple[np.ndarray, float]]:
+    ) -> List[Tuple[np.ndarray, np.ndarray, float]]:
         # Express hops first, then unit hops (next_hop_offsets order).  An
         # express link spans ruche_factor unit links (link_length_tiles).
         distance = _ring_distance(delta, size)
+        step = _ring_direction(delta, size)
         factor = self.ruche_factor
-        return [(distance // factor, length * factor), (distance % factor, length)]
+        return [
+            (distance // factor, step * factor, length * factor),
+            (distance % factor, step, length),
+        ]
 
     @property
     def area_factor(self) -> float:
@@ -683,32 +802,12 @@ class Topology3D(Topology):
         vertical = self._dimension_span_batch(dz, depth)
         return horizontal * self.physical_length_factor + vertical * self.via_length_tiles
 
-    def neighbors(self, tile: int) -> List[int]:
-        x, y, z = self.coords(tile)
-        result = set()
-        for step in self._unit_steps(self.width):
-            result.add(self.tile_at((x + step) % self.width, y, z))
-        for step in self._unit_steps(self.height):
-            result.add(self.tile_at(x, (y + step) % self.height, z))
-        for step in self._unit_steps(self.depth):
-            result.add(self.tile_at(x, y, (z + step) % self.depth))
-        return sorted(result - {tile})
-
-    def diameter(self) -> int:
-        return sum(
-            max(len(self.next_hop_offsets(d, size)) for d in range(size))
-            for size in self.dimension_sizes()
-        )
-
     # -------------------------------------------------------------- properties
     def bisection_links(self) -> int:
         # The vertical middle cut through X is crossed once per (row, layer)
         # pair per direction; wraparound (torus) doubles it.
         per_row = 4 if self.wraps else 2
         return per_row * self.height * self.depth
-
-    #: True when dimensions have wraparound links (set by subclasses).
-    wraps = False
 
     def link_length_tiles(self, src: int, dst: int) -> float:
         if self.coords(src)[2] != self.coords(dst)[2]:
@@ -726,7 +825,7 @@ class Topology3D(Topology):
         return f"{type(self).__name__}({self.width}x{self.height}x{self.depth})"
 
 
-class Mesh3D(Topology3D):
+class Mesh3D(_LineRouting, Topology3D):
     """Stacked 3D mesh: nearest-neighbour links, no wraparound in any dimension."""
 
     kind = "mesh3d"
@@ -734,40 +833,9 @@ class Mesh3D(Topology3D):
     # One extra router port pair for the vertical dimension.
     area_factor = 1.2
     congestion_factor = 2.0
-    wraps = False
-
-    def next_hop_offsets(self, delta: int, size: int) -> List[int]:
-        step = 1 if delta > 0 else -1
-        return [step] * abs(delta)
-
-    def _dimension_hops(self, delta: int, size: int) -> int:
-        return abs(delta)
-
-    def _unit_steps(self, size: int) -> List[int]:
-        return [-1, 1] if size > 1 else []
-
-    def _line_links(self, size: int) -> int:
-        return 2 * (size - 1)
-
-    def neighbors(self, tile: int) -> List[int]:
-        x, y, z = self.coords(tile)
-        result = []
-        if x > 0:
-            result.append(self.tile_at(x - 1, y, z))
-        if x + 1 < self.width:
-            result.append(self.tile_at(x + 1, y, z))
-        if y > 0:
-            result.append(self.tile_at(x, y - 1, z))
-        if y + 1 < self.height:
-            result.append(self.tile_at(x, y + 1, z))
-        if z > 0:
-            result.append(self.tile_at(x, y, z - 1))
-        if z + 1 < self.depth:
-            result.append(self.tile_at(x, y, z + 1))
-        return result
 
 
-class Torus3D(Topology3D):
+class Torus3D(_RingRouting, Topology3D):
     """Stacked 3D torus: shortest-direction wraparound in all three dimensions.
 
     In-plane links follow the folded-torus layout (two tile pitches each);
@@ -779,33 +847,6 @@ class Torus3D(Topology3D):
     physical_length_factor = 2.0
     area_factor = 1.7
     congestion_factor = 1.25
-    wraps = True
-
-    def next_hop_offsets(self, delta: int, size: int) -> List[int]:
-        if size <= 1 or delta == 0:
-            return []
-        forward = delta % size
-        backward = size - forward
-        if forward <= backward:
-            return [1] * forward
-        return [-1] * backward
-
-    def _dimension_hops(self, delta: int, size: int) -> int:
-        if size <= 1 or delta == 0:
-            return 0
-        forward = delta % size
-        return min(forward, size - forward)
-
-    def _dimension_span(self, delta: int, size: int) -> int:
-        return self._dimension_hops(delta, size)
-
-    def _dimension_hops_batch(self, delta: np.ndarray, size: int) -> np.ndarray:
-        return _ring_distance(delta, size)
-
-    _dimension_span_batch = _dimension_hops_batch
-
-    def _unit_steps(self, size: int) -> List[int]:
-        return [-1, 1] if size > 1 else []
 
 
 _TOPOLOGY_KINDS = {

@@ -174,10 +174,13 @@ class ResultCache:
         tmp = path.with_suffix(
             f".tmp.{os.getpid()}-{threading.get_ident()}-{next(_TMP_SEQUENCE)}"
         )
+        # allow_nan=False: a non-finite float slipping past the sentinel
+        # encoding must fail the store, not write non-standard JSON.  dumps
+        # (unlike dump) runs the C encoder, and encoding before opening the
+        # file leaves no temp file behind when it raises.
+        text = json.dumps(wrapper, sort_keys=True, allow_nan=False)
         with open(tmp, "w", encoding="utf-8") as handle:
-            # allow_nan=False: a non-finite float slipping past the sentinel
-            # encoding must fail the store, not write non-standard JSON.
-            json.dump(wrapper, handle, sort_keys=True, allow_nan=False)
+            handle.write(text)
         try:
             os.replace(tmp, path)
         except OSError:

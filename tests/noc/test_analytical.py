@@ -177,7 +177,7 @@ class TestRecordBatch:
         assert batched.total_flit_millimeters == scalar.total_flit_millimeters
         assert batched.total_flit_hops == scalar.total_flit_hops
         assert batched.link_flits == scalar.link_flits
-        assert batched.router_flits == scalar.router_flits
-        assert batched.injected_flits == scalar.injected_flits
-        assert batched.ejected_flits == scalar.ejected_flits
+        assert batched.router_flits.tolist() == scalar.router_flits.tolist()
+        assert batched.injected_flits.tolist() == scalar.injected_flits.tolist()
+        assert batched.ejected_flits.tolist() == scalar.ejected_flits.tolist()
         assert batched.bisection_load() == scalar.bisection_load()

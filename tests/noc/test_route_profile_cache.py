@@ -6,7 +6,9 @@ entries on a long broker/worker run that sweeps many traffic patterns.  The
 cache is a bounded FIFO keyed by pair code: it never exceeds the limit, keeps
 serving correct routes past it, and keeps admitting (not just recomputing)
 new entries.  ``route_profile`` and ``route_link_codes`` are two views of the
-same entries, so one bound covers both.
+same entries, so one bound covers both.  Link codes are canonical
+(``src_tile * link_ports + port``), so they do not depend on which routes were
+memoized first or evicted.
 """
 
 from __future__ import annotations
@@ -17,6 +19,12 @@ import threading
 import pytest
 
 from repro.noc.topology import Mesh2D, RucheTorus2D, Torus2D, make_topology
+
+
+def _decode(topo, codes):
+    """The ``(src, dst)`` links that canonical ``codes`` name."""
+    srcs, dsts = topo.link_code_endpoints
+    return [(int(srcs[code]), int(dsts[code])) for code in codes]
 
 
 def test_route_profile_cache_never_exceeds_limit():
@@ -63,12 +71,9 @@ def test_route_profile_correct_after_eviction():
     for src in range(topo.num_tiles):
         for dst in range(topo.num_tiles):
             assert topo.route_profile(src, dst) == fresh.route_profile(src, dst)
-            # Dense codes depend on first-routed order; the links they name
-            # do not.
+            # Canonical codes do not depend on what was cached or evicted.
             code = src * topo.num_tiles + dst
-            assert [topo.links_by_id[c] for c in topo.route_link_codes(code)] == [
-                fresh.links_by_id[c] for c in fresh.route_link_codes(code)
-            ]
+            assert topo.route_link_codes(code) == fresh.route_link_codes(code)
 
 
 @pytest.mark.parametrize(
@@ -84,23 +89,31 @@ def test_route_profile_correct_after_eviction():
 def test_views_agree_on_every_pair(kind, extra):
     topo = make_topology(kind, 7, 5, **extra)
     n = topo.num_tiles
+    code_of = {}
     for src in range(n):
         for dst in range(n):
             links, lengths = topo.route_profile(src, dst)
             assert links == topo.links_on_route(src, dst)
             assert lengths == [topo.link_length_tiles(*link) for link in links]
             codes = topo.route_link_codes(src * n + dst)
-            assert [topo.links_by_id[code] for code in codes] == links
-    # Dense codes: one per distinct link, within the closed-form link count
-    # the analytical network sizes its per-link state by.
-    assert sorted(topo._link_codes.values()) == list(range(len(topo.links_by_id)))
-    assert len(topo.links_by_id) <= topo.num_directed_links()
+            assert _decode(topo, codes) == links
+            # A link's code is its source tile's port, whichever route uses it.
+            assert [code // topo.link_ports for code in codes] == [s for s, _ in links]
+            for link, code in zip(links, codes):
+                assert code_of.setdefault(link, code) == code
+    # Canonical codes: one per distinct link, inside the code space the
+    # analytical network sizes its per-link state by.
+    assert len(set(code_of.values())) == len(code_of)
+    assert all(0 <= code < topo.num_link_codes() for code in code_of.values())
+    assert len(code_of) <= topo.num_directed_links()
 
 
 def test_concurrent_misses_hand_out_each_link_code_once():
     # Topologies are shared process-wide and a worker may simulate on
-    # several threads; racing misses must never give two links one code.
+    # several threads; racing misses must publish the same canonical codes
+    # a single-threaded topology computes.
     topo = RucheTorus2D(16, 16, ruche_factor=3)
+    fresh = RucheTorus2D(16, 16, ruche_factor=3)
     n = topo.num_tiles
     pairs = [src * n + dst for src in range(n) for dst in range(0, n, 3)]
     failures = []
@@ -127,9 +140,8 @@ def test_concurrent_misses_hand_out_each_link_code_once():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert len(set(topo.links_by_id)) == len(topo.links_by_id)
-    assert all(topo._link_codes[link] == code for code, link in enumerate(topo.links_by_id))
     for code in pairs:
         links, _lengths = topo.route_profile(code // n, code % n)
         assert links == topo.links_on_route(code // n, code % n)
-        assert [topo.links_by_id[c] for c in topo.route_link_codes(code)] == links
+        assert topo.route_link_codes(code) == fresh.route_link_codes(code)
+        assert _decode(topo, topo.route_link_codes(code)) == links

@@ -33,9 +33,9 @@ TOPOLOGIES = st.sampled_from(
 def _model_state(model: LinkLoadModel) -> tuple:
     return (
         model.link_flits,
-        model.router_flits,
-        model.injected_flits,
-        model.ejected_flits,
+        model.router_flits.tolist(),
+        model.injected_flits.tolist(),
+        model.ejected_flits.tolist(),
         model.total_flit_hops,
         model.total_flit_millimeters,
         model.total_messages,

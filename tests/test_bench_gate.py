@@ -140,3 +140,20 @@ def test_update_baseline_keeps_format(tmp_path):
     assert set(written) == {"calibration_seconds", "benchmarks"}
     assert written["calibration_seconds"] == pytest.approx(0.1)
     assert written["benchmarks"] == {"bench_run[fig6]": 1.0}
+
+
+def test_gate_fails_a_measured_benchmark_without_baseline(tmp_path, capsys):
+    # A new benchmark that nobody added to the baseline must not pass
+    # silently ungated.
+    baseline, bench = _write_gate_files(tmp_path)
+    blob = json.loads(bench.read_text())
+    blob["benchmarks"].append({"name": "bench_new", "stats": {"mean": 5.0}})
+    bench.write_text(json.dumps(blob))
+    code = gate.main(
+        ["--bench-json", str(bench), "--baseline", str(baseline)],
+        timer=FakeTimer([0.1] * 20), workload=_noop,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'bench_new' has no baseline entry" in err
+    assert "--update-baseline" in err
