@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import record
-from repro.apps import BFSKernel
+from repro.apps import BFSKernel, PageRankKernel
 from repro.core.config import MachineConfig
 from repro.core.machine import DalorexMachine
 from repro.graph.generators import rmat_graph
@@ -40,6 +40,32 @@ def test_engine_simulation_speed(benchmark, bench_graph, engine):
             "graph_edges": bench_graph.num_edges,
             "simulated_cycles": round(result.cycles),
             "tasks_executed": result.counters.tasks_executed,
+        },
+    )
+
+
+def test_epoch_boundary_speed(benchmark):
+    """The analytic engine's epoch boundary on a 64x64 grid: barrierless BFS
+    (an all-tile frontier refill every time the worklist drains) plus a
+    two-iteration PageRank (one full-graph reseeding and its seeding charge)."""
+    graph = rmat_graph(12, edge_factor=8, seed=4)
+    root = graph.highest_degree_vertex()
+    config = MachineConfig(width=64, height=64, engine="analytic")
+
+    def run():
+        bfs = DalorexMachine(config, BFSKernel(root=root), graph).run(compute_energy=False)
+        pagerank = DalorexMachine(
+            config, PageRankKernel(num_iterations=2), graph
+        ).run(compute_energy=False)
+        return bfs, pagerank
+
+    bfs, pagerank = benchmark(run)
+    record(
+        benchmark,
+        {
+            "graph_edges": graph.num_edges,
+            "bfs_tasks": bfs.counters.tasks_executed,
+            "pagerank_epochs": pagerank.epochs,
         },
     )
 

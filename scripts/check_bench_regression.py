@@ -29,6 +29,10 @@ Refresh the baseline after an intentional performance change::
         --benchmark-json BENCH_simulator.json -q
     python scripts/check_bench_regression.py --bench-json BENCH_simulator.json \
         --update-baseline
+
+Add a new benchmark without touching the committed entries by adding
+``--keep-existing``: only benchmarks the baseline lacks are written, their
+means rescaled to the committed calibration so every entry shares one unit.
 """
 
 from __future__ import annotations
@@ -132,6 +136,10 @@ def main(argv=None, timer=time.perf_counter, workload=_calibration_workload) -> 
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite the baseline from --bench-json instead of "
                              "checking against it")
+    parser.add_argument("--keep-existing", action="store_true",
+                        help="with --update-baseline: keep the committed entries "
+                             "and calibration, and only add benchmarks the "
+                             "baseline lacks")
     args = parser.parse_args(argv)
 
     # The gate certifies the *telemetry-off* hot path (the provably-zero-cost
@@ -154,8 +162,25 @@ def main(argv=None, timer=time.perf_counter, workload=_calibration_workload) -> 
         return 2
     pool = CalibrationPool(timer=timer, workload=workload)
 
+    if args.keep_existing and not args.update_baseline:
+        print("error: --keep-existing only applies with --update-baseline",
+              file=sys.stderr)
+        return 2
     if args.update_baseline:
         calibration = pool.value()
+        written = means
+        if args.keep_existing:
+            with open(args.baseline, "r", encoding="utf-8") as handle:
+                committed = json.load(handle)
+            # Rescale the new means into the committed calibration unit.
+            scale = float(committed["calibration_seconds"]) / calibration
+            written = {
+                name: mean * scale
+                for name, mean in means.items()
+                if name not in committed["benchmarks"]
+            }
+            means = {**committed["benchmarks"], **written}
+            calibration = float(committed["calibration_seconds"])
         baseline = {
             "calibration_seconds": calibration,
             "benchmarks": means,
@@ -164,7 +189,7 @@ def main(argv=None, timer=time.perf_counter, workload=_calibration_workload) -> 
             json.dump(baseline, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"baseline updated: {args.baseline} "
-              f"({len(means)} benchmarks, calibration {calibration:.4f}s)")
+              f"({len(written)} benchmarks written, calibration {calibration:.4f}s)")
         return 0
 
     with open(args.baseline, "r", encoding="utf-8") as handle:

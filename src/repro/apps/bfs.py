@@ -8,11 +8,12 @@ entered the local frontier (barrierless mode only).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
-from repro.apps.common import FrontierGraphKernel, Seed
+from repro.apps.common import FrontierGraphKernel
+from repro.core.batch import SeedColumns
 from repro.core.program import DalorexProgram, EDGE_SPACE, VERTEX_SPACE
 from repro.graph.csr import CSRGraph
 from repro.graph.reference import UNREACHED, bfs_levels
@@ -67,8 +68,8 @@ class BFSKernel(FrontierGraphKernel):
             "edge_dst": graph.indices.astype(np.int64),
         }
 
-    def initial_tasks(self, graph: CSRGraph) -> List[Seed]:
-        return [("T1_explore", (self.root,))]
+    def initial_tasks(self, graph: CSRGraph) -> SeedColumns:
+        return SeedColumns("T1_explore", [self.root])
 
     # ------------------------------------------------------------------ tasks
     def _t1_explore(self, ctx, vertex: int) -> None:

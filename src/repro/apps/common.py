@@ -7,18 +7,20 @@ A kernel packages everything the machine needs to run one application:
 * the initial contents of the distributed arrays,
 * the initial work (e.g. the BFS root, or one task per vertex for SPMV),
 * the per-epoch reseeding hook used when running with global barriers,
+* the barrierless refill hook that drains the tiles' local frontiers,
 * a sequential reference used to validate the simulated output.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.batch import (
     BatchResult,
+    SeedColumns,
     concat_ranges,
     first_occurrences,
     relax_min,
@@ -27,7 +29,9 @@ from repro.core.batch import (
 from repro.core.program import DalorexProgram
 from repro.graph.csr import CSRGraph
 
-Seed = Tuple[str, tuple]
+#: What :meth:`Kernel.refill` pulls: the destination tile of every
+#: invocation plus the invocations themselves.
+Refill = Tuple[np.ndarray, SeedColumns]
 
 
 class Kernel(ABC):
@@ -48,8 +52,9 @@ class Kernel(ABC):
         """Initial contents of every declared array (keyed by array name)."""
 
     @abstractmethod
-    def initial_tasks(self, graph: CSRGraph) -> List[Seed]:
-        """Work items seeded before the first epoch, as ``(task_name, params)``."""
+    def initial_tasks(self, graph: CSRGraph) -> SeedColumns:
+        """Work seeded before the first epoch, as one task's parameter columns
+        (the engine routes each invocation to the owner of its first one)."""
 
     def prepare_graph(self, graph: CSRGraph) -> CSRGraph:
         """Optionally transform the input graph (e.g. symmetrize it for WCC)."""
@@ -60,7 +65,7 @@ class Kernel(ABC):
         return {}
 
     # -------------------------------------------------------------- execution
-    def next_epoch(self, machine, epoch_index: int) -> Optional[List[Seed]]:
+    def next_epoch(self, machine, epoch_index: int) -> Optional[SeedColumns]:
         """Work for the next barriered epoch, or ``None``/empty when converged.
 
         Only called when the machine runs with global barriers.  The default is
@@ -68,13 +73,21 @@ class Kernel(ABC):
         """
         return None
 
-    def refill_tile(self, machine, tile_id: int, budget: int) -> List[Seed]:
-        """Work a tile can pull from its local frontier when it would otherwise idle.
+    def refill(
+        self, machine, budget: int, lo: int = 0, hi: Optional[int] = None
+    ) -> Optional[Refill]:
+        """Work the tiles in ``[lo, hi)`` pull from their local frontiers when
+        the machine would otherwise idle: up to ``budget`` invocations per
+        tile, in tile order and FIFO within each tile, or ``None``.
 
         Only called in barrierless mode.  The default is no local refill
         (single-pass programs such as SPMV).
         """
-        return []
+        return None
+
+    def refill_tile(self, machine, tile_id: int, budget: int) -> Optional[Refill]:
+        """:meth:`refill` for one tile (the cycle engine's refill grain)."""
+        return self.refill(machine, budget, tile_id, tile_id + 1)
 
     def batch_handlers(self, machine) -> Dict[str, object]:
         """Vectorized batch handlers, keyed by task name (``{}`` = scalar only).
@@ -118,10 +131,11 @@ class FrontierGraphKernel(Kernel):
 
     * the update task (T3) calls :meth:`mark_frontier` when it improves a
       vertex -- the flag deduplicates, and in barrierless mode the vertex is
-      also pushed onto the tile's local frontier queue;
+      also pushed onto the tile's local frontier queue (the machine state's
+      columnar :class:`~repro.core.state.FrontierLog`);
     * in barrierless mode the TSU drains the local queue through the
       re-exploration task (T4) only when the tile has no other pending work
-      (:meth:`refill_tile`), which is what keeps asynchronous execution
+      (:meth:`refill`), which is what keeps asynchronous execution
       work-efficient in the paper;
     * in barrier mode :meth:`next_epoch` sweeps the flags into the next epoch's
       seeds (the global frontier swap).
@@ -155,28 +169,23 @@ class FrontierGraphKernel(Kernel):
             return
         ctx.write(self.frontier_array, vertex, 1)
         if not ctx.barrier:
-            # The bucket list lives in the machine's columnar CoreState
-            # (state.frontier[tile]); the context publishes it under
-            # tile_state["frontier"] on first use so inspection keeps working.
-            ctx.frontier_bucket().append(int(vertex))
+            ctx.push_frontier(vertex)
 
-    def refill_tile(self, machine, tile_id: int, budget: int) -> List[Seed]:
-        queue = machine.tile_state[tile_id].get("frontier")
-        if not queue:
-            return []
-        take = min(budget, len(queue))
-        vertices = queue[:take]
-        # Drain in place: the list is aliased by the columnar frontier state.
-        del queue[:take]
-        return [(self.refrontier_task, (vertex,)) for vertex in vertices]
+    def refill(
+        self, machine, budget: int, lo: int = 0, hi: Optional[int] = None
+    ) -> Optional[Refill]:
+        tiles, vertices = machine.state.frontier.take(budget, lo, hi)
+        if not len(tiles):
+            return None
+        return tiles, SeedColumns(self.refrontier_task, vertices)
 
-    def next_epoch(self, machine, epoch_index: int) -> Optional[List[Seed]]:
+    def next_epoch(self, machine, epoch_index: int) -> Optional[SeedColumns]:
         frontier = machine.arrays[self.frontier_array]
         vertices = np.nonzero(frontier)[0]
         if len(vertices) == 0:
             return None
         frontier[vertices] = 0
-        return [(self.explore_task, (int(vertex),)) for vertex in vertices]
+        return SeedColumns(self.explore_task, vertices)
 
     # ------------------------------------------------------------- batch mode
     def batch_t1_values(self, values: np.ndarray) -> np.ndarray:
@@ -255,17 +264,7 @@ class FrontierGraphKernel(Kernel):
             if marks.any():
                 flags[verts[marks]] = 1
                 if not machine.barrier_effective:
-                    tiles = segment.tiles
-                    frontier = machine.state.frontier
-                    tile_state = machine.tile_state
-                    for item in np.flatnonzero(marks).tolist():
-                        tile = int(tiles[item])
-                        per_tile = tile_state[tile]
-                        bucket = per_tile.get("frontier")
-                        if bucket is None:
-                            bucket = frontier[tile]
-                            per_tile["frontier"] = bucket
-                        bucket.append(int(verts[item]))
+                    machine.state.frontier.push(segment.tiles[marks], verts[marks])
             return BatchResult(reads, writes, extra)
 
         def run_t4(segment) -> BatchResult:
@@ -291,6 +290,6 @@ class FrontierGraphKernel(Kernel):
         }
 
 
-def all_vertex_seeds(task_name: str, graph: CSRGraph) -> List[Seed]:
+def all_vertex_seeds(task_name: str, graph: CSRGraph) -> SeedColumns:
     """One seed invocation of ``task_name`` per vertex (used by PR, WCC, SPMV)."""
-    return [(task_name, (vertex,)) for vertex in range(graph.num_vertices)]
+    return SeedColumns(task_name, np.arange(graph.num_vertices, dtype=np.int64))

@@ -11,12 +11,12 @@ execution model generalizes beyond graph analytics.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.apps.common import Kernel, Seed, all_vertex_seeds
-from repro.core.batch import BatchResult, concat_ranges, split_ranges
+from repro.apps.common import Kernel, all_vertex_seeds
+from repro.core.batch import BatchResult, SeedColumns, concat_ranges, split_ranges
 from repro.core.program import DalorexProgram, EDGE_SPACE, VERTEX_SPACE
 from repro.graph.csr import CSRGraph
 from repro.graph.reference import spmv
@@ -75,7 +75,7 @@ class SPMVKernel(Kernel):
             "edge_val": graph.values.astype(np.float64),
         }
 
-    def initial_tasks(self, graph: CSRGraph) -> List[Seed]:
+    def initial_tasks(self, graph: CSRGraph) -> SeedColumns:
         return all_vertex_seeds("T1_row", graph)
 
     # ------------------------------------------------------------------ tasks

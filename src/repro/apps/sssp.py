@@ -8,11 +8,12 @@ vertices from the local frontier.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
-from repro.apps.common import FrontierGraphKernel, Seed
+from repro.apps.common import FrontierGraphKernel
+from repro.core.batch import SeedColumns
 from repro.core.program import DalorexProgram, EDGE_SPACE, VERTEX_SPACE
 from repro.graph.csr import CSRGraph
 from repro.graph.reference import sssp_distances
@@ -71,8 +72,8 @@ class SSSPKernel(FrontierGraphKernel):
             "edge_weight": graph.values.astype(np.float64),
         }
 
-    def initial_tasks(self, graph: CSRGraph) -> List[Seed]:
-        return [("T1_explore", (self.root,))]
+    def initial_tasks(self, graph: CSRGraph) -> SeedColumns:
+        return SeedColumns("T1_explore", [self.root])
 
     # ------------------------------------------------------------------ tasks
     def _t1_explore(self, ctx, vertex: int) -> None:

@@ -10,11 +10,12 @@ which is why the paper reports it benefits most from barrierless execution.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
-from repro.apps.common import FrontierGraphKernel, Seed, all_vertex_seeds
+from repro.apps.common import FrontierGraphKernel, all_vertex_seeds
+from repro.core.batch import SeedColumns
 from repro.core.program import DalorexProgram, EDGE_SPACE, VERTEX_SPACE
 from repro.graph.csr import CSRGraph
 from repro.graph.reference import wcc_labels
@@ -67,7 +68,7 @@ class WCCKernel(FrontierGraphKernel):
             "edge_dst": graph.indices.astype(np.int64),
         }
 
-    def initial_tasks(self, graph: CSRGraph) -> List[Seed]:
+    def initial_tasks(self, graph: CSRGraph) -> SeedColumns:
         return all_vertex_seeds("T1_explore", graph)
 
     # ------------------------------------------------------------------ tasks

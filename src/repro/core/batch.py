@@ -89,6 +89,36 @@ class Segment:
         self.remote = remote
         self.n = len(tiles)
 
+    @classmethod
+    def fresh(cls, task, tiles: np.ndarray, params: Tuple[np.ndarray, ...]) -> "Segment":
+        """Seed or refill invocations: generation 0, none remote."""
+        n = len(tiles)
+        return cls(task, tiles, params, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool))
+
+    def items(self):
+        """``(tile, params)`` per invocation, as Python scalars, for the
+        per-invocation paths (the scalar engine and the cycle engine)."""
+        return zip(self.tiles.tolist(), zip(*(column.tolist() for column in self.params)))
+
+
+class SeedColumns:
+    """Invocations of one task as int64 parameter columns.
+
+    The form kernels hand work to the engines in (``initial_tasks``,
+    ``next_epoch`` and ``refill``): invocation ``i`` is
+    ``task(params[0][i], params[1][i], ...)``, in seeding order.  An empty
+    set of columns is falsy, so "no more work" reads naturally.
+    """
+
+    __slots__ = ("task", "params")
+
+    def __init__(self, task: str, *params) -> None:
+        self.task = task
+        self.params = tuple(np.asarray(column, dtype=np.int64) for column in params)
+
+    def __len__(self) -> int:
+        return len(self.params[0]) if self.params else 0
+
 
 class BatchResult:
     """Per-item accounting plus emissions returned by a kernel batch handler.
@@ -165,31 +195,49 @@ def split_ranges(
     For every item the range is split at data-owner boundaries and then into
     ``max_range`` chunks, in the exact order the scalar path emits them.
     Returns ``(dest_tiles, piece_begins, piece_ends, pieces_per_item)``.
+
+    The split is array work: the owners of every index in the ranges mark
+    the runs (a run ends where the owner or the item changes), and each
+    run is cut into ``max_range`` chunks with ``np.repeat``/``cumsum``.
+    Empty ranges emit nothing; a non-empty range reaching outside the space
+    raises the scalar path's :class:`~repro.errors.PlacementError`.
     """
-    dests: List[int] = []
-    piece_begin: List[int] = []
-    piece_end: List[int] = []
-    counts = np.zeros(len(begins), dtype=np.int64)
-    for item, (begin, end) in enumerate(zip(begins.tolist(), ends.tolist())):
-        if begin >= end:
-            continue
-        pieces = 0
-        for tile, sub_begin, sub_end in space_placement.contiguous_ranges(begin, end):
-            cursor = sub_begin
-            while cursor < sub_end:
-                chunk_end = min(sub_end, cursor + max_range)
-                dests.append(tile)
-                piece_begin.append(cursor)
-                piece_end.append(chunk_end)
-                cursor = chunk_end
-                pieces += 1
-        counts[item] = pieces
-    return (
-        np.asarray(dests, dtype=np.int64),
-        np.asarray(piece_begin, dtype=np.int64),
-        np.asarray(piece_end, dtype=np.int64),
-        counts,
+    begins = np.asarray(begins, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    nonempty = begins < ends
+    length = space_placement.length
+    bad_begin = nonempty & ((begins < 0) | (begins >= length))
+    bad = bad_begin | (nonempty & (ends > length))
+    if bad.any():
+        # The scalar walk checks each item's begin, then its last index.
+        item = int(np.argmax(bad))
+        space_placement._check_index(
+            int(begins[item]) if bad_begin[item] else int(ends[item]) - 1
+        )
+    flat, counts = concat_ranges(begins, np.where(nonempty, ends, begins))
+    total = len(flat)
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, np.zeros(len(begins), dtype=np.int64)
+    owners = space_placement.owners_of(flat)
+    new_run = np.empty(total, dtype=bool)
+    new_run[0] = True
+    np.not_equal(owners[1:], owners[:-1], out=new_run[1:])
+    item_ends = np.cumsum(counts)
+    new_run[(item_ends - counts)[nonempty]] = True
+    run_start = np.flatnonzero(new_run)
+    run_len = np.diff(np.append(run_start, total))
+    chunks = (run_len + (max_range - 1)) // max_range
+    chunk_run = np.repeat(np.arange(len(run_start)), chunks)
+    chunk_rank = np.arange(len(chunk_run), dtype=np.int64) - np.repeat(
+        np.cumsum(chunks) - chunks, chunks
     )
+    first = flat[run_start]
+    piece_begin = first[chunk_run] + chunk_rank * max_range
+    piece_end = np.minimum(piece_begin + max_range, (first + run_len)[chunk_run])
+    run_item = np.searchsorted(item_ends, run_start, side="right")
+    pieces = np.bincount(run_item[chunk_run], minlength=len(begins)).astype(np.int64)
+    return owners[run_start][chunk_run], piece_begin, piece_end, pieces
 
 
 # ------------------------------------------------------------------ relaxation

@@ -167,6 +167,9 @@ class MachineConfig:
             raise ConfigurationError("ruche_factor must be at least 2")
         if self.max_range_per_message < 1:
             raise ConfigurationError("max_range_per_message must be positive")
+        if self.frontier_refill_batch < 1:
+            # A tile that may pull nothing leaves its frontier parked forever.
+            raise ConfigurationError("frontier_refill_batch must be positive")
         return self
 
     # -------------------------------------------------------------- variants

@@ -135,22 +135,14 @@ class TaskContext:
 
     @property
     def tile_state(self) -> dict:
-        """Mutable state private to the executing tile (e.g. its frontier queue)."""
+        """Mutable scratch private to the executing tile (a dict, built on
+        first access)."""
         return self._machine.tile_state[self.tile_id]
 
-    def frontier_bucket(self) -> list:
-        """The executing tile's local frontier bucket (columnar state).
-
-        The bucket list lives in :class:`~repro.core.state.CoreState` and is
-        published under ``tile_state["frontier"]`` on first use, so kernels
-        and tests that inspect ``tile_state`` keep seeing the same object.
-        """
-        tile_state = self._machine.tile_state[self.tile_id]
-        bucket = tile_state.get("frontier")
-        if bucket is None:
-            bucket = self._machine.state.frontier[self.tile_id]
-            tile_state["frontier"] = bucket
-        return bucket
+    def push_frontier(self, vertex: int) -> None:
+        """Park ``vertex`` on the executing tile's local frontier (the
+        machine state's columnar :class:`~repro.core.state.FrontierLog`)."""
+        self._machine.state.frontier.push_one(self.tile_id, int(vertex))
 
     @property
     def num_tiles(self) -> int:

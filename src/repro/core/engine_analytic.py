@@ -26,13 +26,14 @@ import numpy as np
 
 from repro.core.batch import (
     BatchFallback,
+    SeedColumns,
     Segment,
     repeated_add_prefix,
     segments_from_items,
     sequential_sum,
 )
 from repro.core.context import TaskContext
-from repro.core.engine_base import BaseEngine, Seed
+from repro.core.engine_base import BaseEngine
 from repro.core.registry import register_engine
 from repro.core.results import SimulationResult
 from repro.errors import SimulationError
@@ -90,7 +91,7 @@ class AnalyticalEngine(BaseEngine):
     def run(self) -> SimulationResult:
         total_cycles = 0.0
         epoch_index = 0
-        seeds: Optional[List[Seed]] = list(self.kernel.initial_tasks(self.machine.graph))
+        seeds: Optional[SeedColumns] = self.kernel.initial_tasks(self.machine.graph)
         average_hops = self.topology.average_hop_distance(sample=64)
 
         self._batch = self._prepare_batch()
@@ -123,19 +124,20 @@ class AnalyticalEngine(BaseEngine):
         return self.build_result(max(total_cycles, 1.0), epochs=epoch_index)
 
     # ------------------------------------------------------------------ epoch
-    def _run_epoch(self, seeds: List[Seed], epoch_index: int, average_hops: float) -> float:
+    def _run_epoch(self, seeds: SeedColumns, epoch_index: int, average_hops: float) -> float:
         num_tiles = self.config.num_tiles
         epoch_busy = np.zeros(num_tiles, dtype=np.float64)
         epoch_link = LinkLoadModel(self.topology, detailed=self.link_model.detailed)
         tasks_this_epoch = 0
         max_generation = 0
 
-        resolved = self.resolve_seeds(seeds)
+        seeded = self.resolve_seeds(seeds)
         if epoch_index > 0:
-            epoch_busy += self.charge_epoch_seeding(resolved)
+            epoch_busy += self.charge_epoch_seeding(seeded.tiles)
 
+        task = seeded.task
         worklist = deque(
-            (tile_id, task, params, 0, False) for tile_id, task, params in resolved
+            (tile_id, task, params, 0, False) for tile_id, params in seeded.items()
         )
         while worklist or self._refill_all_tiles(worklist):
             tile_id, task, params, generation, remote = worklist.popleft()
@@ -185,12 +187,12 @@ class AnalyticalEngine(BaseEngine):
         """Barrierless mode: pull parked frontier work once the worklist drains."""
         if self.machine.barrier_effective:
             return False
-        refilled = False
-        for tile_id in range(self.config.num_tiles):
-            for task, params in self.resolve_refill(tile_id):
-                worklist.append((tile_id, task, params, 0, False))
-                refilled = True
-        return refilled
+        refill = self.resolve_refill()
+        if refill is None:
+            return False
+        task = refill.task
+        worklist.extend((tile_id, task, params, 0, False) for tile_id, params in refill.items())
+        return True
 
     # ------------------------------------------------------------- batch mode
     def _prepare_batch(self) -> Optional[dict]:
@@ -223,7 +225,7 @@ class AnalyticalEngine(BaseEngine):
         state.pu_instructions = np.asarray(state.pu_instructions, dtype=np.int64)
 
     def _run_epoch_batched(
-        self, seeds: List[Seed], epoch_index: int, average_hops: float
+        self, seeds: SeedColumns, epoch_index: int, average_hops: float
     ) -> float:
         """The batched twin of :meth:`_run_epoch`.
 
@@ -240,15 +242,11 @@ class AnalyticalEngine(BaseEngine):
         tasks_this_epoch = 0
         max_generation = 0
 
-        resolved = self.resolve_seeds(seeds)
+        seeded = self.resolve_seeds(seeds)
         if epoch_index > 0:
-            epoch_busy += self.charge_epoch_seeding(resolved)
+            epoch_busy += self.charge_epoch_seeding(seeded.tiles)
 
-        worklist = deque(
-            segments_from_items(
-                [(tile, task, params, 0, False) for tile, task, params in resolved]
-            )
-        )
+        worklist = deque([seeded])
         telemetry = self.telemetry
         telemetry_on = telemetry.enabled
         while worklist or self._refill_segments(worklist):
@@ -277,13 +275,10 @@ class AnalyticalEngine(BaseEngine):
         """Batched twin of :meth:`_refill_all_tiles` (same tile order)."""
         if self.machine.barrier_effective:
             return False
-        items = []
-        for tile_id in range(self.config.num_tiles):
-            for task, params in self.resolve_refill(tile_id):
-                items.append((tile_id, task, params, 0, False))
-        if not items:
+        refill = self.resolve_refill()
+        if refill is None:
             return False
-        worklist.extend(segments_from_items(items))
+        worklist.append(refill)
         return True
 
     def _execute_segment(self, segment: Segment, epoch_link, epoch_busy):

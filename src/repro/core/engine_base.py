@@ -14,10 +14,11 @@ than per-tile objects, and task contexts are pooled: one execution costs one
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.batch import SeedColumns, Segment
 from repro.core.context import TaskContext
 from repro.core.results import AggregateCounters, SimulationResult
 from repro.core.task import Task
@@ -29,8 +30,6 @@ from repro.verify.tracing import InvariantTracer
 #: Above this tile count the analytical engine switches the link-load model to
 #: its aggregate (non-per-link) mode to keep simulation time reasonable.
 DETAILED_LINK_MODEL_MAX_TILES = 2048
-
-Seed = Tuple[str, tuple]
 
 
 class BaseEngine:
@@ -106,59 +105,62 @@ class BaseEngine:
         self._context_pool.append(ctx)
 
     # ------------------------------------------------------------------ seeds
-    def resolve_seeds(self, seeds: Sequence[Seed]) -> List[Tuple[int, Task, tuple]]:
-        """Map ``(task_name, params)`` seeds to their destination tiles."""
-        resolved = []
-        for task_name, params in seeds:
-            task = self.program.task(task_name)
-            params = tuple(params)
-            if len(params) != task.num_params:
-                raise SimulationError(
-                    f"seed for task {task_name!r} has {len(params)} parameters, "
-                    f"expected {task.num_params}"
-                )
-            destination = self.placement.owner(task.route_space, int(params[0]))
-            resolved.append((destination, task, params))
-        self.tracer.record_seeds(resolved)
-        return resolved
+    def resolve_seeds(self, seeds: SeedColumns) -> Segment:
+        """Route one epoch's seed columns to their owner tiles, as a segment."""
+        task = self.program.task(seeds.task)
+        if len(seeds.params) != task.num_params:
+            raise SimulationError(
+                f"seed for task {seeds.task!r} has {len(seeds.params)} parameters, "
+                f"expected {task.num_params}"
+            )
+        tiles = self.placement.space(task.route_space).owners_of(seeds.params[0])
+        self.tracer.record_seeds(task, len(tiles))
+        return Segment.fresh(task, tiles, seeds.params)
 
-    def resolve_refill(self, tile_id: int) -> List[Tuple[Task, tuple]]:
-        """Pull parked frontier work for one tile (barrierless mode).
+    def resolve_refill(self, lo: int = 0, hi: Optional[int] = None) -> Optional[Segment]:
+        """Pull parked frontier work for the tiles in ``[lo, hi)`` (barrierless
+        mode): one segment in tile order, FIFO within each tile, or None.
 
-        The single refill path shared by both engines, so the invariant tracer
-        sees every refill-origin spawn exactly once.
+        The single refill path shared by both engines and the shard workers,
+        so the invariant tracer sees every refill-origin spawn exactly once.
         """
-        seeds = self.kernel.refill_tile(
-            self.machine, tile_id, self.config.frontier_refill_batch
+        pulled = self.kernel.refill(
+            self.machine, self.config.frontier_refill_batch, lo, hi
         )
-        resolved = [
-            (self.program.task(task_name), tuple(params)) for task_name, params in seeds
-        ]
-        if resolved:
-            self.tracer.record_refill(resolved)
-        return resolved
+        if pulled is None:
+            return None
+        tiles, seeds = pulled
+        task = self.program.task(seeds.task)
+        self.tracer.record_refill(task, len(tiles))
+        return Segment.fresh(task, tiles, seeds.params)
 
-    def charge_epoch_seeding(self, resolved_seeds: Sequence[Tuple[int, Task, tuple]]) -> np.ndarray:
-        """Charge the per-vertex frontier re-exploration cost (the paper's T4).
+    def charge_epoch_seeding(self, tiles: np.ndarray) -> np.ndarray:
+        """Charge the per-vertex frontier re-exploration cost (the paper's T4)
+        for seeds landing on ``tiles``.
 
         Returns the per-tile cycles charged so the caller can add them to the
-        epoch's compute time.
+        epoch's compute time.  Every seed adds the same integral cost, so one
+        per-tile count times the cost equals the repeated additions exactly.
         """
-        per_tile = np.zeros(self.config.num_tiles, dtype=np.float64)
-        cost = self.config.epoch_seed_instructions
-        pu_instructions = self.state.pu_instructions
-        for tile_id, _task, _params in resolved_seeds:
-            per_tile[tile_id] += cost
-            self.counters.instructions += cost
-            pu_instructions[tile_id] += cost
-        return per_tile
+        charged = (
+            np.bincount(tiles, minlength=self.config.num_tiles)
+            * self.config.epoch_seed_instructions
+        )
+        self.counters.instructions += int(charged.sum())
+        state = self.state
+        if isinstance(state.pu_instructions, np.ndarray):
+            state.pu_instructions += charged
+        else:
+            # The per-invocation engines keep the column a list of ints.
+            state.pu_instructions[:] = (
+                np.asarray(state.pu_instructions, dtype=np.int64) + charged
+            ).tolist()
+        return charged.astype(np.float64)
 
-    def next_epoch_seeds(self, epoch_index: int) -> Optional[List[Seed]]:
+    def next_epoch_seeds(self, epoch_index: int) -> Optional[SeedColumns]:
         """Ask the kernel for the next epoch's work (barrier mode only)."""
         seeds = self.kernel.next_epoch(self.machine, epoch_index)
-        if not seeds:
-            return None
-        return list(seeds)
+        return seeds if seeds else None
 
     # ----------------------------------------------------------------- result
     def build_result(self, cycles: float, epochs: int) -> SimulationResult:

@@ -43,8 +43,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.batch import SeedColumns
 from repro.core.context import TaskContext
-from repro.core.engine_base import BaseEngine, Seed
+from repro.core.engine_base import BaseEngine
 from repro.core.network import make_network_model
 from repro.core.registry import register_engine
 from repro.core.results import SimulationResult
@@ -97,7 +98,7 @@ class CycleEngine(BaseEngine):
     def run(self) -> SimulationResult:
         epoch_index = 0
         time_base = 0.0
-        seeds: Optional[List[Seed]] = list(self.kernel.initial_tasks(self.machine.graph))
+        seeds: Optional[SeedColumns] = self.kernel.initial_tasks(self.machine.graph)
 
         while seeds:
             self._inject_seeds(seeds, time_base, charge=epoch_index > 0)
@@ -129,14 +130,14 @@ class CycleEngine(BaseEngine):
         return self.build_result(cycles, epochs=epoch_index)
 
     # ------------------------------------------------------------------ seeds
-    def _inject_seeds(self, seeds: List[Seed], time_base: float, charge: bool) -> None:
-        resolved = self.resolve_seeds(seeds)
+    def _inject_seeds(self, seeds: SeedColumns, time_base: float, charge: bool) -> None:
+        seeded = self.resolve_seeds(seeds)
         if charge:
-            self.charge_epoch_seeding(resolved)
-        records = self.state.records
-        for tile_id, task, params in resolved:
-            handle = records.alloc(tile_id, task.task_id, params, False)
-            self._push(time_base, _DELIVER, handle)
+            self.charge_epoch_seeding(seeded.tiles)
+        alloc = self.state.records.alloc
+        task_id = seeded.task.task_id
+        for tile_id, params in seeded.items():
+            self._push(time_base, _DELIVER, alloc(tile_id, task_id, params, False))
 
     # ----------------------------------------------------------------- events
     def _drain_events(self) -> None:
@@ -205,13 +206,13 @@ class CycleEngine(BaseEngine):
         return refilled
 
     def _refill_tile(self, tile_id: int, now: float) -> bool:
-        resolved = self.resolve_refill(tile_id)
-        if not resolved:
+        refill = self.resolve_refill(tile_id, tile_id + 1)
+        if refill is None:
             return False
         state = self.state
         alloc = state.records.alloc
-        for task, params in resolved:
-            task_id = task.task_id
+        task_id = refill.task.task_id
+        for _tile, params in refill.items():
             state.push_invocation(tile_id, task_id, alloc(tile_id, task_id, params, False))
         return True
 

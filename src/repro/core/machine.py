@@ -13,6 +13,7 @@ place (that is the output of the program), so build a fresh machine per run.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, Optional
 
 import numpy as np
@@ -48,9 +49,9 @@ class DalorexMachine:
         self.dataset_name = dataset_name or graph.name
         self.technology = technology
         self.globals: Dict[str, object] = {}
-        # Per-tile mutable state outside the distributed arrays (models the
-        # tile-local frontier queue fed by T3 and drained by T4).
-        self.tile_state = [dict() for _ in range(config.num_tiles)]
+        # Per-tile mutable state outside the distributed arrays, for kernels
+        # that keep tile-private scratch (each tile's dict built on first use).
+        self.tile_state: Dict[int, dict] = defaultdict(dict)
         # Invariant tracing: set detailed_trace=True before run() for the
         # opt-in per-epoch trace; the engine publishes its tracer here so
         # callers can inspect the traced task flow after the run.  The cycle
@@ -78,8 +79,8 @@ class DalorexMachine:
         self.program.validate(known_spaces=list(self.placement.spaces))
         self.arrays = self._build_arrays()
 
-        # All mutable per-tile state (queues, PU/TSU state, counters, frontier
-        # buckets, NoC port times) lives in flat columns of one CoreState.
+        # All mutable per-tile state (queues, PU/TSU state, counters, the
+        # frontier log, NoC port times) lives in flat columns of one CoreState.
         self.state = CoreState(
             config.num_tiles,
             [task.task_id for task in self.program.tasks],

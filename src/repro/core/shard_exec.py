@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import Segment, segments_from_items, sequential_sum
+from repro.core.batch import Segment, sequential_sum
 from repro.core.engine_analytic import AnalyticalEngine, _MemoryTables
 from repro.core.shard import ShardPlan, apply_link_state, export_link_state
 from repro.errors import SimulationError
@@ -156,14 +156,11 @@ class ShardWorker:
         self._snapshot = self.engine.counters.to_dict()
         charge_tiles = msg.get("charge_tiles")
         if charge_tiles is not None and len(charge_tiles):
-            # charge_epoch_seeding for the owned seeds: repeated addition of
-            # the same constant per tile, so np.add.at (element order) is
-            # bit-equal to the serial per-seed loop.
-            tiles = np.asarray(charge_tiles, dtype=np.int64)
-            cost = self.machine.config.epoch_seed_instructions
-            np.add.at(self.epoch_busy, tiles, float(cost))
-            np.add.at(self.engine.state.pu_instructions, tiles, cost)
-            self.engine.counters.instructions += int(cost) * len(tiles)
+            # The serial seeding charge over the owned seeds: per-tile sums
+            # of one integral cost, so the shards' shares add up exactly.
+            self.epoch_busy += self.engine.charge_epoch_seeding(
+                np.asarray(charge_tiles, dtype=np.int64)
+            )
         return None
 
     def exec_segment(self, msg: Dict[str, Any]) -> Dict[str, Any]:
@@ -190,15 +187,12 @@ class ShardWorker:
             reply["child_remote"] = child.remote
         return reply
 
-    def refill(self) -> List[Dict[str, Any]]:
-        items = []
-        for tile_id in range(self.lo, self.hi):
-            for task, params in self.engine.resolve_refill(tile_id):
-                items.append((tile_id, task, params, 0, False))
-        return [
-            {"task": segment.task.name, "tiles": segment.tiles, "params": segment.params}
-            for segment in segments_from_items(items)
-        ]
+    def refill(self) -> Optional[Dict[str, Any]]:
+        """The extent's refill columns (tile order, FIFO per tile), or None."""
+        segment = self.engine.resolve_refill(self.lo, self.hi)
+        if segment is None:
+            return None
+        return {"task": segment.task.name, "tiles": segment.tiles, "params": segment.params}
 
     def epoch_end(self) -> Dict[str, Any]:
         counters = self.engine.counters.to_dict()
@@ -355,7 +349,7 @@ class ShardCoordinator:
         config = machine.config
         total_cycles = 0.0
         epoch_index = 0
-        seeds = list(machine.kernel.initial_tasks(machine.graph))
+        seeds = machine.kernel.initial_tasks(machine.graph)
         average_hops = self.topology.average_hop_distance(sample=64)
 
         while seeds:
@@ -379,16 +373,10 @@ class ShardCoordinator:
     # ----------------------------------------------------------------- epoch
     def _run_epoch(self, seeds, epoch_index: int, average_hops: float) -> float:
         engine = self.engine
-        resolved = engine.resolve_seeds(seeds)
+        seeded = engine.resolve_seeds(seeds)
 
         starts: Dict[int, Dict[str, Any]] = {}
-        charge_tiles = None
-        if epoch_index > 0 and resolved:
-            charge_tiles = np.fromiter(
-                (tile for tile, _task, _params in resolved),
-                dtype=np.int64,
-                count=len(resolved),
-            )
+        charge_tiles = seeded.tiles if epoch_index > 0 else None
         for shard in range(self.plan.num_shards):
             msg: Dict[str, Any] = {"op": "epoch_start", "epoch": epoch_index}
             if charge_tiles is not None:
@@ -407,20 +395,13 @@ class ShardCoordinator:
         tasks_this_epoch = 0
         max_generation = 0
 
-        worklist: deque = deque()
-        items = [
-            (tile, task, params, 0, False) for tile, task, params in resolved
-        ]
-        for segment in segments_from_items(items):
-            worklist.append(
+        worklist = deque(
+            [
                 self._make_record(
-                    segment.task.name,
-                    0,
-                    segment.tiles,
-                    segment.params,
-                    segment.remote,
+                    seeded.task.name, 0, seeded.tiles, seeded.params, seeded.remote
                 )
-            )
+            ]
+        )
 
         while worklist or self._refill(worklist):
             record = worklist.popleft()
@@ -591,40 +572,26 @@ class ShardCoordinator:
         replies = self._broadcast(
             {shard: {"op": "refill"} for shard in range(self.plan.num_shards)}
         )
-        merged: List[Dict[str, Any]] = []
-        for shard in range(self.plan.num_shards):
-            for run in replies[shard]:
-                if merged and merged[-1]["task"] == run["task"]:
-                    last = merged[-1]
-                    last["tiles"] = np.concatenate([last["tiles"], run["tiles"]])
-                    last["params"] = tuple(
-                        np.concatenate([a, b])
-                        for a, b in zip(last["params"], run["params"])
-                    )
-                else:
-                    merged.append(
-                        {
-                            "task": run["task"],
-                            "tiles": np.asarray(run["tiles"], dtype=np.int64),
-                            "params": tuple(run["params"]),
-                        }
-                    )
-        if not merged:
+        # Shard extents are contiguous and ascending, so concatenating the
+        # replies in shard order is the serial engine's all-tile tile order.
+        runs = [
+            replies[shard]
+            for shard in range(self.plan.num_shards)
+            if replies[shard] is not None
+        ]
+        if not runs:
             return False
-        program = self.machine.program
-        for run in merged:
-            task = program.task(run["task"])
-            n = len(run["tiles"])
-            self.engine.tracer.record_refill([(task, ())] * n)
-            worklist.append(
-                self._make_record(
-                    run["task"],
-                    0,
-                    run["tiles"],
-                    run["params"],
-                    np.zeros(n, dtype=bool),
-                )
-            )
+        task_name = runs[0]["task"]
+        if any(run["task"] != task_name for run in runs):
+            raise SimulationError("shards refilled different tasks")
+        tiles = np.concatenate([np.asarray(run["tiles"], dtype=np.int64) for run in runs])
+        params = tuple(
+            np.concatenate(columns) for columns in zip(*(run["params"] for run in runs))
+        )
+        self.engine.tracer.record_refill(self.machine.program.task(task_name), len(tiles))
+        worklist.append(
+            self._make_record(task_name, 0, tiles, params, np.zeros(len(tiles), dtype=bool))
+        )
         return True
 
     # ---------------------------------------------------------- epoch bounds

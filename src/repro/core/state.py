@@ -5,14 +5,16 @@ parallel arrays indexed by tile id (and, for queues, by
 ``tile * num_tasks + task``).  It keeps only the columns something reads
 back:
 
-* task input queues (one deque of pooled record indices per tile x task),
-  their push/pop/high-water counts (read by the invariant tracer) and the
+* task input queues (one deque of pooled record indices per tile x task,
+  filled on the first push: only the cycle engine queues invocations), their
+  push/pop/high-water counts (read by the invariant tracer) and the
   per-tile ``pending`` total (read by scheduling and idle checks);
 * engine dispatch flags (``busy``, ``refill_pending``);
 * PU occupancy (``pu_busy_until``) and the two per-tile result columns,
   ``pu_busy_cycles`` and ``pu_instructions``;
 * the TSU round-robin cursors;
-* per-tile local frontier buckets;
+* the barrierless local frontiers, as one push-order ``(tile, vertex)``
+  :class:`FrontierLog`;
 * the NoC interface port state shared with the flit-level simulator
   (``noc_inject_free`` / ``noc_eject_free``).
 
@@ -32,7 +34,9 @@ the two implementations against each other.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -93,6 +97,80 @@ class RecordPool:
         return len(self.tile) - len(self.free)
 
 
+class FrontierLog:
+    """The barrierless local frontiers of every tile, as one columnar log.
+
+    The paper's T3 -> T4 hand-off: T3 pushes each vertex that newly enters
+    the frontier with the tile that owns it, and T4 pulls a tile's parked
+    vertices back once the tile would otherwise idle.  Entries are kept in
+    push order in two int64 columns (the first ``size`` slots); a tile's
+    entries, read in log order, are its FIFO queue.
+    """
+
+    __slots__ = ("tiles", "vertices", "size")
+
+    def __init__(self) -> None:
+        self.tiles = np.empty(16, dtype=np.int64)
+        self.vertices = np.empty(16, dtype=np.int64)
+        self.size = 0
+
+    def _reserve(self, size: int) -> None:
+        if size > len(self.tiles):
+            spare = np.empty(max(size, 2 * len(self.tiles)) - self.size, dtype=np.int64)
+            self.tiles = np.concatenate((self.tiles[: self.size], spare))
+            self.vertices = np.concatenate((self.vertices[: self.size], spare))
+
+    def push(self, tiles: np.ndarray, vertices: np.ndarray) -> None:
+        """Append ``(tiles[i], vertices[i])`` entries in item order."""
+        start = self.size
+        self._reserve(start + len(tiles))
+        self.tiles[start : start + len(tiles)] = tiles
+        self.vertices[start : start + len(tiles)] = vertices
+        self.size = start + len(tiles)
+
+    def push_one(self, tile: int, vertex: int) -> None:
+        """Append one entry (the scalar T3 path)."""
+        size = self.size
+        self._reserve(size + 1)
+        self.tiles[size] = tile
+        self.vertices[size] = vertex
+        self.size = size + 1
+
+    def take(
+        self, budget: int, lo: int = 0, hi: Optional[int] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Pull up to ``budget`` entries from each tile in ``[lo, hi)``
+        (every tile when ``hi`` is None).
+
+        Returns ``(tiles, vertices)`` in tile order, FIFO within each tile
+        -- each tile's queue pop, tile after tile -- and leaves the other
+        entries in push order.
+        """
+        tiles = self.tiles[: self.size]
+        if hi is not None and hi - lo == 1:
+            chosen = np.flatnonzero(tiles == lo)[:budget]
+        else:
+            inside = np.flatnonzero(tiles >= lo)
+            if hi is not None:
+                inside = inside[tiles[inside] < hi]
+            candidates = inside[np.argsort(tiles[inside], kind="stable")]
+            ordered = tiles[candidates]
+            starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+            rank = np.arange(len(ordered), dtype=np.int64) - np.repeat(
+                starts, np.diff(np.append(starts, len(ordered)))
+            )
+            chosen = candidates[rank < budget]
+        taken = tiles[chosen], self.vertices[chosen]
+        if len(chosen):
+            kept = np.ones(self.size, dtype=bool)
+            kept[chosen] = False
+            kept = np.flatnonzero(kept)
+            self.tiles[: len(kept)] = tiles[kept]
+            self.vertices[: len(kept)] = self.vertices[kept]
+            self.size = len(kept)
+        return taken
+
+
 class CoreState:
     """All mutable per-tile simulation state, as flat parallel arrays.
 
@@ -134,9 +212,13 @@ class CoreState:
         self.queue_capacity = [iq_capacities[tid] for tid in self.task_ids]
 
         slots = num_tiles * self.num_tasks
-        # Task input queues (entries are RecordPool handles on the engine hot
-        # path; the queue logic itself accepts arbitrary items).
-        self.queues: List[deque] = [deque() for _ in range(slots)]
+        # Task input queues, one deque per tile x task (entries are
+        # RecordPool handles on the engine hot path; the queue logic itself
+        # accepts arbitrary items).  Filled by the first push, since only
+        # the cycle engine queues invocations.  A list filled in place, not
+        # a cached_property: on CPython 3.11 that would slow every CoreState
+        # attribute read in the dispatch loop.
+        self.queues: List[deque] = []
         self.queue_pushed = [0] * slots
         self.queue_popped = [0] * slots
         self.queue_max_occupancy = [0] * slots
@@ -156,8 +238,8 @@ class CoreState:
         # TSU round-robin cursors.
         self.tsu_cursor = [0] * num_tiles
 
-        # Per-tile local frontier buckets (the paper's T3 -> T4 hand-off).
-        self.frontier: List[list] = [[] for _ in range(num_tiles)]
+        # The barrierless local frontiers (the paper's T3 -> T4 hand-off).
+        self.frontier = FrontierLog()
 
         # NoC interface port state, shared with the network models: the next
         # cycle each tile's injection / ejection port is free.
@@ -184,7 +266,10 @@ class CoreState:
         """
         col = task_id if self.dense_tasks else self.task_column[task_id]
         qi = tile * self.num_tasks + col
-        queue = self.queues[qi]
+        queues = self.queues
+        if not queues:
+            queues.extend(deque() for _ in range(self.num_tiles * self.num_tasks))
+        queue = queues[qi]
         queue.append(item)
         self.queue_pushed[qi] += 1
         self.pending[tile] += 1

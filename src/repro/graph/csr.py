@@ -132,7 +132,10 @@ class CSRGraph:
             dedup: drop duplicate ``(src, dst)`` pairs, keeping the first weight.
             remove_self_loops: drop ``(v, v)`` edges.
         """
-        edge_array = np.asarray(list(edges), dtype=np.int64)
+        # An ndarray is taken as is: list() would split it into row objects.
+        edge_array = np.asarray(
+            edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64
+        )
         if edge_array.size == 0:
             edge_array = edge_array.reshape(0, 2)
         if edge_array.ndim != 2 or edge_array.shape[1] != 2:
@@ -157,16 +160,20 @@ class CSRGraph:
             edge_array = np.concatenate([edge_array, edge_array[:, ::-1]])
             weight_array = np.concatenate([weight_array, weight_array])
 
-        if dedup and len(edge_array):
+        if len(edge_array):
+            # One stable sort of the (src, dst) keys orders the rows; with
+            # dedup, the head of each run of equal keys is the first
+            # occurrence, whose weight is the one kept.
             keys = edge_array[:, 0] * num_vertices + edge_array[:, 1]
-            _, unique_pos = np.unique(keys, return_index=True)
-            unique_pos.sort()
-            edge_array = edge_array[unique_pos]
-            weight_array = weight_array[unique_pos]
-
-        order = np.lexsort((edge_array[:, 1], edge_array[:, 0])) if len(edge_array) else []
-        edge_array = edge_array[order] if len(edge_array) else edge_array
-        weight_array = weight_array[order] if len(edge_array) else weight_array
+            order = np.argsort(keys, kind="stable")
+            if dedup:
+                sorted_keys = keys[order]
+                head = np.empty(len(order), dtype=bool)
+                head[0] = True
+                np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+                order = order[head]
+            edge_array = edge_array[order]
+            weight_array = weight_array[order]
 
         counts = np.bincount(
             edge_array[:, 0], minlength=num_vertices
@@ -217,9 +224,17 @@ class CSRGraph:
 
     # ---------------------------------------------------------------- queries
     def is_symmetric(self) -> bool:
-        """True when for every edge (u, v) the edge (v, u) is also present."""
-        forward = set(zip(self.edge_sources().tolist(), self.indices.tolist()))
-        return all((dst, src) in forward for src, dst in forward)
+        """True when for every edge (u, v) the edge (v, u) is also present.
+
+        Compares the sorted distinct ``src*V+dst`` keys with the sorted
+        distinct ``dst*V+src`` keys: the reversed edge set has as many
+        members as the edge set, so it contains it exactly when they match.
+        """
+        sources = self.edge_sources()
+        vertices = self.num_vertices
+        forward = _distinct_sorted(sources * vertices + self.indices)
+        backward = _distinct_sorted(self.indices * vertices + sources)
+        return bool(np.array_equal(forward, backward))
 
     def has_edge(self, src: int, dst: int) -> bool:
         begin, end = self.edge_range(src)
@@ -268,3 +283,11 @@ class CSRGraph:
             and np.array_equal(self.indices, other.indices)
             and np.allclose(self.values, other.values)
         )
+
+
+def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending."""
+    keys = np.sort(keys)
+    if len(keys) > 1:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys

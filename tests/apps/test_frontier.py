@@ -15,6 +15,12 @@ def make_machine(barrier: bool):
     return DalorexMachine(config, BFSKernel(root=0), chain_graph(16))
 
 
+def parked(machine):
+    """The frontier log's ``(tile, vertex)`` entries in push order."""
+    log = machine.state.frontier
+    return list(zip(log.tiles[: log.size].tolist(), log.vertices[: log.size].tolist()))
+
+
 def relax_context(machine, vertex):
     owner = machine.placement.owner("vertex", vertex)
     return TaskContext(machine, owner, machine.program.task("T3_relax"))
@@ -26,21 +32,21 @@ class TestMarkFrontier:
         ctx = relax_context(machine, 5)
         machine.kernel.mark_frontier(ctx, 5)
         assert machine.arrays["in_frontier"][5] == 1
-        assert machine.tile_state[ctx.tile_id]["frontier"] == [5]
+        assert parked(machine) == [(ctx.tile_id, 5)]
 
     def test_mark_is_deduplicated(self):
         machine = make_machine(barrier=False)
         ctx = relax_context(machine, 5)
         machine.kernel.mark_frontier(ctx, 5)
         machine.kernel.mark_frontier(ctx, 5)
-        assert machine.tile_state[ctx.tile_id]["frontier"] == [5]
+        assert parked(machine) == [(ctx.tile_id, 5)]
 
     def test_barrier_mode_only_sets_flag(self):
         machine = make_machine(barrier=True)
         ctx = relax_context(machine, 5)
         machine.kernel.mark_frontier(ctx, 5)
         assert machine.arrays["in_frontier"][5] == 1
-        assert "frontier" not in machine.tile_state[ctx.tile_id]
+        assert parked(machine) == []
 
 
 class TestRefillTile:
@@ -51,18 +57,33 @@ class TestRefillTile:
         vertices = [v for v in range(16) if machine.placement.owner("vertex", v) == tile][:4]
         for vertex in vertices:
             machine.kernel.mark_frontier(relax_context(machine, vertex), vertex)
-        first = machine.kernel.refill_tile(machine, tile, budget=2)
-        assert [params[0] for _, params in first] == vertices[:2]
-        second = machine.kernel.refill_tile(machine, tile, budget=10)
-        assert [params[0] for _, params in second] == vertices[2:]
-        assert machine.kernel.refill_tile(machine, tile, budget=10) == []
+        tiles, first = machine.kernel.refill_tile(machine, tile, budget=2)
+        assert first.params[0].tolist() == vertices[:2]
+        assert tiles.tolist() == [tile, tile]
+        _, second = machine.kernel.refill_tile(machine, tile, budget=10)
+        assert second.params[0].tolist() == vertices[2:]
+        assert machine.kernel.refill_tile(machine, tile, budget=10) is None
 
     def test_refill_uses_refrontier_task(self):
         machine = make_machine(barrier=False)
         ctx = relax_context(machine, 3)
         machine.kernel.mark_frontier(ctx, 3)
-        seeds = machine.kernel.refill_tile(machine, ctx.tile_id, budget=8)
-        assert seeds == [("T4_refrontier", (3,))]
+        tiles, seeds = machine.kernel.refill_tile(machine, ctx.tile_id, budget=8)
+        assert seeds.task == "T4_refrontier"
+        assert seeds.params[0].tolist() == [3]
+        assert tiles.tolist() == [ctx.tile_id]
+
+    def test_all_tile_refill_is_tile_ordered_fifo(self):
+        machine = make_machine(barrier=False)
+        marked = [9, 2, 14, 5, 0, 11, 7]
+        for vertex in marked:
+            machine.kernel.mark_frontier(relax_context(machine, vertex), vertex)
+        owner = machine.placement.owner
+        tiles, seeds = machine.kernel.refill(machine, budget=1)
+        expected = sorted(
+            {owner("vertex", v): v for v in reversed(marked)}.items()
+        )
+        assert list(zip(tiles.tolist(), seeds.params[0].tolist())) == expected
 
 
 class TestNextEpoch:
@@ -70,7 +91,8 @@ class TestNextEpoch:
         machine = make_machine(barrier=True)
         machine.arrays["in_frontier"][[2, 7, 11]] = 1
         seeds = machine.kernel.next_epoch(machine, 1)
-        assert sorted(params[0] for _, params in seeds) == [2, 7, 11]
+        assert seeds.task == "T1_explore"
+        assert seeds.params[0].tolist() == [2, 7, 11]
         assert machine.arrays["in_frontier"].sum() == 0
         assert machine.kernel.next_epoch(machine, 2) is None
 

@@ -43,6 +43,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             MachineConfig(ruche_factor=1).validate()
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_non_positive_refill_budget_rejected(self, budget):
+        # A budget below one would leave barrierless frontiers parked and
+        # return an unverified result instead of failing.
+        with pytest.raises(ConfigurationError, match="frontier_refill_batch"):
+            MachineConfig(frontier_refill_batch=budget).validate()
+
 
 class TestDerived:
     def test_cycles_to_seconds(self):

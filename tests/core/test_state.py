@@ -15,13 +15,15 @@ Three families of checks guard the structure-of-arrays refactor:
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import MachineConfig
 from repro.core.machine import DalorexMachine
 from repro.core.registry import make_engine, make_kernel
-from repro.core.state import CoreState, RecordPool
+from repro.core.state import CoreState, FrontierLog, RecordPool
+from repro.errors import InvariantViolation
 from repro.graph.generators import rmat_graph
 from repro.runtime import RunSpec
 from repro.runtime.backends import execute_to_payload
@@ -115,7 +117,8 @@ class TestQueueCounterConformance:
             assert state.queue_pushed[qi] == queue.total_pushed
             assert state.queue_popped[qi] == queue.total_popped
             assert state.queue_max_occupancy[qi] == queue.max_occupancy
-            assert len(state.queues[qi]) == len(queue)
+            # The deques are filled on the first push; before it, all are empty.
+            assert (len(state.queues[qi]) if state.queues else 0) == len(queue)
         for tile in range(2):
             assert state.pending[tile] == sum(
                 len(oracle[tile, tid]) for tid in task_ids
@@ -140,6 +143,61 @@ class TestColumnSet:
     def test_exact_column_set(self):
         state = CoreState(3, [0, 1], {0: 4, 1: 8}, "round_robin")
         assert set(vars(state)) == self.CONFIGURATION | self.COLUMNS
+
+    def test_queues_are_filled_on_first_push(self):
+        state = CoreState(3, [0, 1], {0: 4, 1: 8}, "round_robin")
+        assert state.queues == []
+        state.push_invocation(2, 1, "x")
+        assert len(state.queues) == 3 * 2
+        assert list(state.queues[state.queue_index(2, 1)]) == ["x"]
+
+    def test_frontier_is_one_columnar_log(self):
+        state = CoreState(3, [0, 1], {0: 4, 1: 8}, "round_robin")
+        assert isinstance(state.frontier, FrontierLog)
+        state.frontier.push(np.array([2, 0, 2]), np.array([7, 3, 5]))
+        state.frontier.push_one(0, 9)
+        log = state.frontier
+        assert log.size == 4
+        assert log.tiles[:4].tolist() == [2, 0, 2, 0]
+        assert log.vertices[:4].tolist() == [7, 3, 5, 9]
+
+
+class TestLazyQueues:
+    """The per-queue deques exist only once a cycle engine queues work."""
+
+    @pytest.mark.parametrize("app,barrier", [
+        ("bfs", False), ("wcc", False), ("pagerank", True), ("spmv", False),
+    ])
+    def test_analytic_run_never_builds_queues(self, small_rmat, app, barrier):
+        config = MachineConfig(width=4, height=4, engine="analytic", barrier=barrier)
+        kwargs = {"root": small_rmat.highest_degree_vertex()} if app == "bfs" else {}
+        machine = DalorexMachine(config, make_kernel(app, **kwargs), small_rmat)
+        machine.run(compute_energy=False)
+        assert machine.state.queues == []
+        assert machine.tracer.summary()["verified"] is True
+
+    def test_cycle_run_builds_queues_and_drains_them(self, small_rmat):
+        config = MachineConfig(width=4, height=4, engine="cycle")
+        machine = DalorexMachine(config, make_kernel("spmv"), small_rmat)
+        machine.run(compute_energy=False)
+        assert len(machine.state.queues) == 16 * machine.state.num_tasks
+        assert not any(machine.state.queues)
+
+    def test_parked_invocation_at_cycle_run_end_is_caught(self, small_rmat, monkeypatch):
+        from repro.core.engine_cycle import CycleEngine
+
+        original = CycleEngine.build_result
+
+        def leave_one_parked(self, cycles, epochs):
+            # An invocation queued on tile 0 that no dispatch ever pops.
+            self.state.queues[0].append(0)
+            return original(self, cycles, epochs)
+
+        monkeypatch.setattr(CycleEngine, "build_result", leave_one_parked)
+        config = MachineConfig(width=4, height=4, engine="cycle")
+        machine = DalorexMachine(config, make_kernel("spmv"), small_rmat)
+        with pytest.raises(InvariantViolation, match="1 invocations still parked"):
+            machine.run(compute_energy=False)
 
 
 @st.composite

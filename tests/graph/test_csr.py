@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
@@ -144,3 +145,42 @@ class TestTransforms:
     def test_equality(self):
         assert build_triangle() == build_triangle()
         assert not (build_triangle() == chain_graph(3))
+
+
+class TestVectorizedBuildAndSymmetry:
+    def test_ndarray_and_list_edges_build_identical_csr(self):
+        rng = np.random.default_rng(5)
+        edges = rng.integers(0, 40, size=(300, 2))
+        weights = rng.uniform(0.0, 1.0, size=300)
+        for directed in (True, False):
+            from_array = CSRGraph.from_edges(40, edges, weights, directed=directed)
+            from_list = CSRGraph.from_edges(
+                40, [tuple(pair) for pair in edges.tolist()], weights.tolist(),
+                directed=directed,
+            )
+            assert np.array_equal(from_array.indptr, from_list.indptr)
+            assert np.array_equal(from_array.indices, from_list.indices)
+            assert np.array_equal(from_array.values, from_list.values)
+
+    def test_ndarray_edges_are_not_aliased(self):
+        edges = np.array([[0, 1], [1, 2]], dtype=np.int64)
+        graph = CSRGraph.from_edges(3, edges, remove_self_loops=False, dedup=False)
+        edges[:] = 0
+        assert graph.indices.tolist() == [1, 2]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        num_vertices=st.integers(min_value=1, max_value=12),
+        pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+        mirror=st.booleans(),
+    )
+    def test_is_symmetric_matches_edge_set_walk(self, num_vertices, pairs, mirror):
+        pairs = [(u % num_vertices, v % num_vertices) for u, v in pairs]
+        if mirror:
+            pairs += [(v, u) for u, v in pairs]
+        graph = CSRGraph.from_edges(
+            num_vertices, pairs, dedup=False, remove_self_loops=False
+        )
+        forward = set(zip(graph.edge_sources().tolist(), graph.indices.tolist()))
+        expected = all((dst, src) in forward for src, dst in forward)
+        assert graph.is_symmetric() is expected

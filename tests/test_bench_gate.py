@@ -142,6 +142,34 @@ def test_update_baseline_keeps_format(tmp_path):
     assert written["benchmarks"] == {"bench_run[fig6]": 1.0}
 
 
+def test_update_baseline_keep_existing_only_adds_new_entries(tmp_path):
+    baseline, bench = _write_gate_files(tmp_path, base_mean=1.0, now_mean=3.0)
+    blob = json.loads(bench.read_text())
+    blob["benchmarks"].append({"name": "bench_new", "stats": {"mean": 0.4}})
+    bench.write_text(json.dumps(blob))
+    code = gate.main(
+        ["--bench-json", str(bench), "--baseline", str(baseline),
+         "--update-baseline", "--keep-existing"],
+        timer=FakeTimer([0.2] * 20), workload=_noop,
+    )
+    assert code == 0
+    written = json.loads(baseline.read_text())
+    # The committed entry and calibration are untouched; the new mean is
+    # rescaled from today's 0.2 s calibration to the committed 0.1 s unit.
+    assert written["calibration_seconds"] == pytest.approx(0.1)
+    assert written["benchmarks"]["bench_run[fig6]"] == 1.0
+    assert written["benchmarks"]["bench_new"] == pytest.approx(0.2)
+
+
+def test_keep_existing_requires_update_baseline(tmp_path):
+    baseline, bench = _write_gate_files(tmp_path)
+    code = gate.main(
+        ["--bench-json", str(bench), "--baseline", str(baseline), "--keep-existing"],
+        timer=FakeTimer([0.1] * 20), workload=_noop,
+    )
+    assert code == 2
+
+
 def test_gate_fails_a_measured_benchmark_without_baseline(tmp_path, capsys):
     # A new benchmark that nobody added to the baseline must not pass
     # silently ungated.
